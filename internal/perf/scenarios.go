@@ -122,13 +122,11 @@ func runCellVerify(opts Options) (Result, error) {
 
 // echoConfig shapes one end-to-end echo scenario: how many measurers hit
 // the target, each with how many multiplexed circuits, the check sampling
-// rate, the target's configuration (decrypt workers, rate), and which data
-// plane carries the measurement cells.
+// rate, and which data plane carries the measurement cells.
 type echoConfig struct {
 	measurers  int
 	socketsPer int
 	checkProb  float64
-	target     wire.TargetConfig
 	udp        bool
 }
 
@@ -148,7 +146,7 @@ func echoScenario(opts Options, cfg echoConfig) (Result, error) {
 		}
 		ids[i] = id
 	}
-	tgt := wire.NewTarget(cfg.target) // RateBps 0: unlimited
+	tgt := wire.NewTarget(wire.TargetConfig{}) // RateBps 0: unlimited
 	for _, id := range ids {
 		tgt.Authorize(id.Pub)
 	}
@@ -260,54 +258,6 @@ func runWireEchoTeam(opts Options) (Result, error) {
 // a single socket.
 func runWireEchoMux(opts Options) (Result, error) {
 	return echoScenario(opts, echoConfig{measurers: 1, socketsPer: 8, checkProb: 0.01})
-}
-
-// runWireEchoMuxPar is wire-echo-mux through the target's parallel decrypt
-// pipeline, workers forced ≥2 so the reader/worker/writer machinery is
-// always exercised even on a single-core host. On a multi-core host
-// (GOMAXPROCS ≥ 4, e.g. the CI runners) it also runs the inline
-// single-worker target as an in-scenario reference and fails unless the
-// pipeline wins by ≥1.2× — the point of sharding the decrypt. On fewer
-// cores the ratio is reported but not gated: there is no parallel speedup
-// to be had from one core, only pipeline overhead, and the scenario's own
-// baseline entry tracks that cost instead.
-func runWireEchoMuxPar(opts Options) (Result, error) {
-	procs := runtime.GOMAXPROCS(0)
-	workers := procs
-	if workers < 2 {
-		workers = 2
-	}
-	if workers > 8 {
-		workers = 8
-	}
-	cfg := echoConfig{measurers: 1, socketsPer: 8, checkProb: 0.01,
-		target: wire.TargetConfig{DecryptWorkers: workers}}
-	res, err := echoScenario(opts, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if res.Extra == nil {
-		res.Extra = make(map[string]float64)
-	}
-	res.Extra["decrypt_workers"] = float64(workers)
-	res.Extra["gomaxprocs"] = float64(procs)
-	if procs >= 4 {
-		inlineCfg := cfg
-		inlineCfg.target.DecryptWorkers = 1
-		inline, err := echoScenario(opts, inlineCfg)
-		if err != nil {
-			return Result{}, err
-		}
-		ratio := 0.0
-		if inline.CellsPerSec > 0 {
-			ratio = res.CellsPerSec / inline.CellsPerSec
-		}
-		res.Extra["par_over_inline"] = ratio
-		if ratio < 1.2 {
-			return Result{}, fmt.Errorf("perf: parallel decrypt %.2fx inline on %d procs, want ≥1.2x", ratio, procs)
-		}
-	}
-	return res, nil
 }
 
 // runWireEchoUDP is wire-echo-mux over the datagram data plane: TCP

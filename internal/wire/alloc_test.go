@@ -3,7 +3,9 @@ package wire
 import (
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flashflow/internal/cell"
 )
@@ -82,27 +84,26 @@ func TestWriterGatherZeroAllocs(t *testing.T) {
 
 // allocTestMux builds a muxState with nCirc live circuits for hot-path
 // guards, bypassing the handshake.
-func allocTestMux(t *testing.T, nCirc int, nWorkers int32) *muxState {
+func allocTestMux(t *testing.T, nCirc int) *muxState {
 	t.Helper()
-	ms := &muxState{t: &Target{}, nWorkers: nWorkers}
+	ms := &muxState{t: &Target{}}
 	for id := uint32(1); id <= uint32(nCirc); id++ {
 		circ, err := cell.NewCircuit(id, []byte("alloc"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms.circuits.set(id, &circEntry{st: circ.Forward, worker: int32(id % uint32(nWorkers))})
+		ms.circuits.set(id, &circEntry{st: circ.Forward})
 	}
 	return ms
 }
 
-// TestTargetEchoPathZeroAllocs covers serveMux's per-batch work in its
-// post-pipeline shape: demux into per-circuit spans (rotating IDs so the
-// span set is rebuilt from scratch every batch) followed by span-wise
-// decryption — the exact work the inline path does and the reader/worker
-// stages split between them.
+// TestTargetEchoPathZeroAllocs covers serveMux's per-batch work: demux
+// into per-circuit spans (rotating IDs so the span set is rebuilt from
+// scratch every batch) followed by span-wise decryption — the exact work
+// the serve loop does between refill and echo.
 func TestTargetEchoPathZeroAllocs(t *testing.T) {
 	const nCirc = 8
-	ms := allocTestMux(t, nCirc, 4)
+	ms := allocTestMux(t, nCirc)
 	buf := cell.GetBatch()
 	defer cell.PutBatch(buf)
 	batch := *buf
@@ -137,7 +138,7 @@ func TestTargetEchoPathZeroAllocs(t *testing.T) {
 // everything serveUDPDatagram does between recvfrom and sendto.
 func TestUDPDatagramPathZeroAllocs(t *testing.T) {
 	const nCirc = 8
-	ms := allocTestMux(t, nCirc, 1)
+	ms := allocTestMux(t, nCirc)
 	tgt := ms.t
 	dg := make([]byte, udpDatagramBytes)
 	scratch := cell.NewSpanScratch()
@@ -161,19 +162,21 @@ func TestUDPDatagramPathZeroAllocs(t *testing.T) {
 }
 
 // TestReaderDecodePathZeroAllocs covers the measurer's echo reader:
-// batched refill through cellReader, per-cell header demux, deterministic
-// check sampling, and keystream verification of the sampled cells.
+// batched refill through cellReader, per-cell header demux, and the shared
+// echoVerifier core — deterministic check sampling, keystream verification
+// of the sampled cells, and per-second crediting.
 func TestReaderDecodePathZeroAllocs(t *testing.T) {
 	km := cell.DeriveKeys([]byte("alloc"))
 	ks, err := cell.NewKeystream(km.ForwardKey, km.ForwardIV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	circs := []*cell.Keystream{ks}
+	var res MeasureResult
+	v := &echoVerifier{circs: []*cell.Keystream{ks}, res: &res,
+		buckets: make([]atomic.Uint64, 60), start: time.Now(),
+		seed: 7, threshold: checkThreshold(0.05)}
 	cr := newCellReader(newCellStream(), make([]byte, cell.SuperBytes))
-	threshold := checkThreshold(0.05)
 	var recvSeq uint64
-	var checked int
 	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < cell.BatchCells; i++ {
 			cb, err := cr.next()
@@ -183,21 +186,22 @@ func TestReaderDecodePathZeroAllocs(t *testing.T) {
 			if cell.CommandOf(cb) != cell.MsmtData {
 				t.Fatal("unexpected command")
 			}
-			idx := int(cell.CircIDOf(cb)) - 1
+			idx, err := v.circuit(cb)
+			if err != nil {
+				t.Fatal(err)
+			}
 			seq := recvSeq
 			recvSeq++
-			if checkSampled(7, uint32(idx)+1, seq, threshold) {
-				checked++
-				// The synthetic stream is not a real echo, so the verify
-				// outcome is irrelevant — only its allocation behavior is
-				// under test.
-				_ = circs[idx].VerifyAt(cell.PayloadOf(cb), seq*cell.PayloadSize)
-			}
+			// The synthetic stream is not a real echo, so the verify
+			// outcome is irrelevant — only its allocation behavior is
+			// under test.
+			v.check(idx, seq, cell.PayloadOf(cb), seq*cell.PayloadSize)
 		}
+		v.credit(cell.BatchCells)
 	}); n != 0 {
 		t.Fatalf("reader decode path: %v allocs per %d-cell batch, want 0", n, cell.BatchCells)
 	}
-	if checked == 0 {
+	if res.CellsChecked == 0 {
 		t.Fatal("check sampling never fired; the guard did not cover the verify path")
 	}
 }

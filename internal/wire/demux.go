@@ -18,21 +18,12 @@ const (
 	planeUDP = 1
 )
 
-// circEntry is one live circuit's demux state: its forward crypto state,
-// the decrypt worker it is pinned to, and per-plane markers locating the
-// circuit's span in the batch currently being demuxed.
-//
-// The worker pinning is the parallel pipeline's ordering invariant: a
-// circuit's CryptoState is sequential (CTR position advances per cell), so
-// every batch's span for that circuit must be decrypted by the same worker
-// and in batch arrival order. Pinning by circuit ID gives both: worker
-// jobs queues are FIFO per worker, and the reader dispatches batches in
-// stream order, so a single owner sees a circuit's spans exactly in the
-// order the stream carried them.
+// circEntry is one live circuit's demux state: its forward crypto state
+// and per-plane markers locating the circuit's span in the batch
+// currently being demuxed.
 type circEntry struct {
-	st     *cell.CryptoState
-	worker int32
-	plane  [2]spanMark
+	st    *cell.CryptoState
+	plane [2]spanMark
 }
 
 // spanMark locates a circuit's open span within the batch identified by
@@ -44,12 +35,11 @@ type spanMark struct {
 }
 
 // muxSpan is one circuit's slice of a batch: the cell-start offsets (into
-// the batch buffer) of its cells, in stream order, plus the state and
-// worker that decrypt them.
+// the batch buffer) of its cells, in stream order, plus the state that
+// decrypts them.
 type muxSpan struct {
-	st     *cell.CryptoState
-	worker int32
-	offs   []int32
+	st   *cell.CryptoState
+	offs []int32
 }
 
 // spanSet accumulates one batch's spans, reusing its backing storage
@@ -85,25 +75,24 @@ func (ss *spanSet) add(e *circEntry, off int32) {
 		ss.spans = append(ss.spans, muxSpan{offs: make([]int32, 0, 64)})
 	}
 	sp := &ss.spans[ss.n]
-	sp.st, sp.worker = e.st, e.worker
+	sp.st = e.st
 	sp.offs = append(sp.offs[:0], off)
 	ss.n++
 }
 
 // muxState is one connection's demux state, shared between the TCP serve
-// loop (inline or pipelined) and, when the measurer binds one, the UDP
-// datagram loop. mu guards the circuit table and the UDP binding; the
-// crypto states themselves are not guarded by it — single ownership is
-// enforced structurally (worker pinning on TCP; once a UDP plane is bound,
-// TCP data cells are a protocol error, so a circuit's state is only ever
-// driven from one plane).
+// loop and, when the measurer binds one, the UDP datagram loop. mu guards
+// the circuit table and the UDP binding; the crypto states themselves are
+// not guarded by it. Each circuit's CryptoState has a single owner: the
+// connection's serve loop, or, once a UDP plane is bound, the datagram
+// loop — TCP data cells after the bind are a protocol error, so a
+// circuit's state is only ever driven from one plane.
 type muxState struct {
 	t   *Target
 	pub ed25519.PublicKey
 
 	mu       sync.Mutex
 	circuits circTable
-	nWorkers int32
 	epoch    uint32 // TCP-plane batch epoch
 	udpEpoch uint32 // UDP-plane batch epoch
 	udp      *udpSession
@@ -116,17 +105,15 @@ type muxState struct {
 var errDataAfterUDPBind = fmt.Errorf("wire: TCP measurement data after UDP bind")
 
 // demuxTCP routes one batch of cells from the connection's TCP stream:
-// data cells are appended to per-circuit spans (decryption happens after,
-// by the caller or its workers), control cells are handled inline —
+// data cells are appended to per-circuit spans (the caller decrypts them
+// after), control cells are handled inline —
 // MsmtCreate answers the X25519 handshake by rewriting the cell in place,
 // MsmtEnd drops the circuit, MsmtUdp binds a datagram data plane. The
 // batch epoch is advanced and spans is reset for this batch. Returns the
 // number of data cells demuxed.
 //
-// The demux invariants from the single-threaded loop are preserved
-// exactly: data for an unknown (or torn-down) circuit, a duplicate
-// MsmtCreate, an unauthorized create, and unexpected commands all kill the
-// connection with the same errors as before.
+// Data for an unknown (or torn-down) circuit, a duplicate MsmtCreate, an
+// unauthorized create, and unexpected commands all kill the connection.
 func (ms *muxState) demuxTCP(batch []byte, spans *spanSet) (int, error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -164,7 +151,7 @@ func (ms *muxState) demuxTCP(batch []byte, spans *spanSet) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			ms.circuits.set(id, &circEntry{st: st, worker: int32(id % uint32(ms.nWorkers))})
+			ms.circuits.set(id, &circEntry{st: st})
 		case cell.MsmtEnd:
 			ms.circuits.del(id)
 		case cell.MsmtUdp:

@@ -32,13 +32,13 @@ func poolBalanced(t *testing.T, name string, fn func()) {
 
 // runMuxErrorSession drives one target connection into a demux error
 // (data for an unknown circuit) and waits for full teardown.
-func runMuxErrorSession(t *testing.T, cfg TargetConfig) {
+func runMuxErrorSession(t *testing.T) {
 	t.Helper()
 	id, err := NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt := NewTarget(cfg)
+	tgt := NewTarget(TargetConfig{})
 	tgt.Authorize(id.Pub)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -72,13 +72,13 @@ func runMuxErrorSession(t *testing.T, cfg TargetConfig) {
 
 // runMuxAbruptClose streams some data, then yanks the client connection
 // mid-stream — the everyday teardown a target sees constantly.
-func runMuxAbruptClose(t *testing.T, cfg TargetConfig) {
+func runMuxAbruptClose(t *testing.T) {
 	t.Helper()
 	id, err := NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, tgt, stop := startTarget(t, cfg, id)
+	addr, _, stop := startTarget(t, TargetConfig{}, id)
 	c := dialMuxClient(t, addr, id, 4)
 	for i := 0; i < 8; i++ {
 		if _, err := c.tr.Write(dataBatch([]uint32{1, 2, 3, 4, 1, 2, 3, 4})); err != nil {
@@ -87,41 +87,22 @@ func runMuxAbruptClose(t *testing.T, cfg TargetConfig) {
 	}
 	c.conn.Close()
 	stop()
-	_ = tgt
 }
 
-// TestServeMuxPoolDisciplineOnError pins the error paths of both serve
-// loops: the inline one and the parallel pipeline, whose teardown must
-// reclaim every arena from the ring — including batches still out with
-// workers or the writer when the reader hits the error.
+// TestServeMuxPoolDisciplineOnError pins the serve loop's error path: a
+// demux error must still return the connection's refill arena.
 func TestServeMuxPoolDisciplineOnError(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  TargetConfig
-	}{
-		{"inline", TargetConfig{DecryptWorkers: 1}},
-		{"parallel", TargetConfig{DecryptWorkers: 4}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			poolBalanced(t, "demux error session", func() { runMuxErrorSession(t, tc.cfg) })
-		})
-	}
+	t.Run("inline", func(t *testing.T) {
+		poolBalanced(t, "demux error session", func() { runMuxErrorSession(t) })
+	})
 }
 
 // TestServeMuxPoolDisciplineOnClientClose pins the abrupt-close teardown
 // the same way.
 func TestServeMuxPoolDisciplineOnClientClose(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  TargetConfig
-	}{
-		{"inline", TargetConfig{DecryptWorkers: 1}},
-		{"parallel", TargetConfig{DecryptWorkers: 4}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			poolBalanced(t, "abrupt close session", func() { runMuxAbruptClose(t, tc.cfg) })
-		})
-	}
+	t.Run("inline", func(t *testing.T) {
+		poolBalanced(t, "abrupt close session", func() { runMuxAbruptClose(t) })
+	})
 }
 
 // TestMeasureCancelPoolDiscipline cancels a measurement mid-slot on both

@@ -159,7 +159,7 @@ func Measure(ctx context.Context, dial Dialer, opts MeasureOptions) (MeasureResu
 		}()
 	}
 
-	res, err := measureConn(ctx, dial, opts, nCirc, start, buckets, seconds)
+	res, err := measureConn(ctx, dial, opts, nCirc, start, buckets)
 	close(done)
 	streamWG.Wait()
 
@@ -276,6 +276,54 @@ func checkThreshold(p float64) uint64 {
 	return uint64(p * float64(math.MaxUint64))
 }
 
+// echoVerifier is the verify-and-account core both echo readers share: it
+// names the circuit an echoed data cell belongs to, spot-checks sampled
+// cells against that circuit's forward keystream, and credits echoed bytes
+// to the per-second buckets. Framing — where a cell's sequence and
+// keystream offset come from, flow-window release, how the stream ends —
+// stays with each plane's reader. The reader goroutine owns
+// res.CellsChecked and res.Failed while it runs.
+type echoVerifier struct {
+	circs     []*cell.Keystream
+	res       *MeasureResult
+	buckets   []atomic.Uint64
+	start     time.Time
+	seed      uint64
+	threshold uint64
+}
+
+// circuit returns the zero-based index of the circuit an echoed data cell
+// names, rejecting any circuit this measurement never created.
+func (v *echoVerifier) circuit(cb []byte) (int, error) {
+	idx := int(cell.CircIDOf(cb)) - 1
+	if idx < 0 || idx >= len(v.circs) {
+		return 0, fmt.Errorf("wire: echo for unknown circuit %d", idx+1)
+	}
+	return idx, nil
+}
+
+// check spot-checks circuit idx's cell seq when sampling selects it: the
+// echoed bytes p must equal the circuit's forward keystream at byte offset
+// off, or the measurement is marked failed (§4.1).
+func (v *echoVerifier) check(idx int, seq uint64, p []byte, off uint64) {
+	if v.threshold == 0 || !checkSampled(v.seed, uint32(idx)+1, seq, v.threshold) {
+		return
+	}
+	v.res.CellsChecked++
+	if !v.circs[idx].VerifyAt(p, off) {
+		v.res.Failed = true
+	}
+}
+
+// credit adds n echoed data cells to the current second's bucket; echoes
+// after the slot's last second are not counted.
+func (v *echoVerifier) credit(n int) {
+	idx := int(time.Since(v.start) / time.Second)
+	if idx >= 0 && idx < len(v.buckets) {
+		v.buckets[idx].Add(uint64(n) * cell.Size)
+	}
+}
+
 // sendReq is one filled batch handed from a sender shard to the paced
 // writer. free is the shard's buffer-recycling channel: the writer pushes
 // the buffer back after the vectored write so the shard can refill it.
@@ -291,7 +339,7 @@ type sendReq struct {
 const shardBufs = 4
 
 // measureConn drives one multiplexed measurement connection.
-func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc int, start time.Time, buckets []atomic.Uint64, seconds int) (MeasureResult, error) {
+func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc int, start time.Time, buckets []atomic.Uint64) (MeasureResult, error) {
 	var res MeasureResult
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -399,11 +447,12 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		windowCap = maxWindowCells
 	}
 	window := newFlowWindow(windowCap)
-	threshold := checkThreshold(opts.CheckProb)
 
 	// Reader: demultiplex the echo stream by circuit ID, verifying sampled
 	// cells against each circuit's forward keystream. It owns
 	// res.CellsChecked/Failed until readerExit closes.
+	v := &echoVerifier{circs: circs, res: &res, buckets: buckets, start: start,
+		seed: uint64(opts.Seed), threshold: checkThreshold(opts.CheckProb)}
 	var stop atomic.Bool
 	var sentCells, received atomic.Int64
 	readerExit := make(chan struct{})
@@ -411,9 +460,9 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	go func() {
 		defer close(readerExit)
 		if udp {
-			readerErr = runEchoReaderUDP(dataConn, circs, &res, buckets, seconds, start, window, uint64(opts.Seed), threshold, &stop, &sentCells, &received)
+			readerErr = runEchoReaderUDP(dataConn, v, window, &stop, &sentCells, &received)
 		} else {
-			readerErr = runEchoReader(cr, circs, &res, buckets, seconds, start, window, uint64(opts.Seed), threshold)
+			readerErr = runEchoReader(cr, v, window)
 		}
 	}()
 
@@ -761,60 +810,48 @@ func createCircuits(tr Transport, cr *cellReader, nCirc int) ([]*cell.Keystream,
 // runEchoReader consumes the echo stream: large vectored refills through
 // the cellReader, per-cell demux by circuit ID, per-batch byte accounting
 // and window release, and deterministic spot checks verified against each
-// circuit's forward keystream. Cells travel with zero payloads, so an
-// honest target's echo of circuit cell k is exactly the forward keystream
-// at offset k·PayloadSize — anything else (a target skipping its decrypt
-// work, §5) fails verification. It returns nil once every circuit's
-// MsmtEnd echo arrived.
-func runEchoReader(cr *cellReader, circs []*cell.Keystream, res *MeasureResult, buckets []atomic.Uint64, seconds int, start time.Time, window *flowWindow, seed, threshold uint64) error {
-	nCirc := len(circs)
-	recvSeq := make([]uint64, nCirc)
-	remaining := nCirc
+// circuit's forward keystream. Cells travel with zero payloads and TCP
+// delivers them in order, so an honest target's echo of circuit cell k is
+// exactly the forward keystream at offset k·PayloadSize — anything else (a
+// target skipping its decrypt work, §5) fails verification. It returns nil
+// once every circuit's MsmtEnd echo arrived.
+func runEchoReader(cr *cellReader, v *echoVerifier, window *flowWindow) error {
+	recvSeq := make([]uint64, len(v.circs))
+	remaining := len(v.circs)
 	account := func(data int) {
-		idx := int(time.Since(start) / time.Second)
-		if idx >= 0 && idx < seconds {
-			buckets[idx].Add(uint64(data) * cell.Size)
+		if data > 0 {
+			v.credit(data)
+			window.release(int64(data))
 		}
-		window.release(int64(data))
 	}
 	for {
 		batch, err := cr.nextBatch()
 		if err != nil {
 			return fmt.Errorf("read echo: %w", err)
 		}
-		k := len(batch) / cell.Size
 		data := 0
-		for i := 0; i < k; i++ {
-			cb := batch[i*cell.Size : (i+1)*cell.Size]
-			idx := int(cell.CircIDOf(cb)) - 1
+		for off := 0; off < len(batch); off += cell.Size {
+			cb := batch[off : off+cell.Size]
 			switch cmd := cell.CommandOf(cb); cmd {
 			case cell.MsmtData:
-				if idx < 0 || idx >= nCirc {
-					return fmt.Errorf("wire: echo for unknown circuit %d", idx+1)
+				idx, err := v.circuit(cb)
+				if err != nil {
+					return err
 				}
 				seq := recvSeq[idx]
 				recvSeq[idx]++
 				data++
-				if threshold > 0 && checkSampled(seed, uint32(idx)+1, seq, threshold) {
-					res.CellsChecked++
-					if !circs[idx].VerifyAt(cell.PayloadOf(cb), seq*cell.PayloadSize) {
-						res.Failed = true
-					}
-				}
+				v.check(idx, seq, cell.PayloadOf(cb), seq*cell.PayloadSize)
 			case cell.MsmtEnd:
 				remaining--
 				if remaining == 0 {
-					if data > 0 {
-						account(data)
-					}
+					account(data)
 					return nil
 				}
 			default:
 				return fmt.Errorf("wire: unexpected echo cell %v", cmd)
 			}
 		}
-		if data > 0 {
-			account(data)
-		}
+		account(data)
 	}
 }

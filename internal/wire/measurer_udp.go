@@ -190,9 +190,8 @@ func waitUDPDrain(ctx context.Context, sent int64, received *atomic.Int64) {
 // Termination: the main goroutine sets stop once the MsmtEnd exchange on
 // the control plane completes and arms a read deadline; the reader exits
 // when every sent cell is accounted for or the deadline expires.
-func runEchoReaderUDP(data net.Conn, circs []*cell.Keystream, res *MeasureResult, buckets []atomic.Uint64, seconds int, start time.Time, window *flowWindow, seed, threshold uint64, stop *atomic.Bool, sent, received *atomic.Int64) error {
-	nCirc := len(circs)
-	expected := make([]uint64, nCirc)
+func runEchoReaderUDP(data net.Conn, v *echoVerifier, window *flowWindow, stop *atomic.Bool, sent, received *atomic.Int64) error {
+	expected := make([]uint64, len(v.circs))
 	buf := cell.GetSuper()
 	defer cell.PutSuper(buf)
 	dg := (*buf)[:udpDatagramBytes]
@@ -207,15 +206,14 @@ func runEchoReaderUDP(data net.Conn, circs []*cell.Keystream, res *MeasureResult
 		if n == 0 || n%cell.Size != 0 {
 			continue // duplicate hello ack or stray datagram
 		}
-		k := n / cell.Size
 		dataCells := 0
-		for i := 0; i < k; i++ {
-			cb := dg[i*cell.Size : (i+1)*cell.Size]
-			idx := int(cell.CircIDOf(cb)) - 1
+		for off := 0; off < n; off += cell.Size {
+			cb := dg[off : off+cell.Size]
 			switch cmd := cell.CommandOf(cb); cmd {
 			case cell.MsmtData:
-				if idx < 0 || idx >= nCirc {
-					return fmt.Errorf("wire: echo for unknown circuit %d", idx+1)
+				idx, err := v.circuit(cb)
+				if err != nil {
+					return err
 				}
 				dataCells++
 				p := cell.PayloadOf(cb)
@@ -225,12 +223,7 @@ func runEchoReaderUDP(data net.Conn, circs []*cell.Keystream, res *MeasureResult
 					window.release(int64(s - expected[idx] + 1))
 					expected[idx] = s + 1
 				}
-				if threshold > 0 && checkSampled(seed, uint32(idx)+1, s, threshold) {
-					res.CellsChecked++
-					if !circs[idx].VerifyAt(p[16:], e*cell.PayloadSize+16) {
-						res.Failed = true
-					}
-				}
+				v.check(idx, s, p[16:], e*cell.PayloadSize+16)
 			case cell.Padding:
 				// The target's "drop": a cell it could not serve rides back
 				// rewritten. Not measurement data, not an error.
@@ -239,10 +232,7 @@ func runEchoReaderUDP(data net.Conn, circs []*cell.Keystream, res *MeasureResult
 			}
 		}
 		if dataCells > 0 {
-			idx := int(time.Since(start) / time.Second)
-			if idx >= 0 && idx < seconds {
-				buckets[idx].Add(uint64(dataCells) * cell.Size)
-			}
+			v.credit(dataCells)
 			received.Add(int64(dataCells))
 		}
 		if stop.Load() && received.Load() >= sent.Load() {

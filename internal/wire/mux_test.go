@@ -68,23 +68,11 @@ func endCell(id uint32) []byte {
 // data) and keeps streaming on the rest — reuse of a torn-down slot's
 // ID-space neighbours must not disturb surviving circuits' sequencing.
 func TestMuxInterleavedReassembly(t *testing.T) {
-	runMuxReassembly(t, TargetConfig{})
-}
-
-// TestMuxInterleavedReassemblyParallel forces the multi-worker decrypt
-// pipeline (even on a single-core host) and re-checks the identical
-// invariant: worker pinning plus the ordered writer must make the parallel
-// path byte-indistinguishable from the inline one.
-func TestMuxInterleavedReassemblyParallel(t *testing.T) {
-	runMuxReassembly(t, TargetConfig{DecryptWorkers: 4})
-}
-
-func runMuxReassembly(t *testing.T, cfg TargetConfig) {
 	id, err := NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _, stop := startTarget(t, cfg, id)
+	addr, _, stop := startTarget(t, TargetConfig{}, id)
 	defer stop()
 
 	const nCirc = 6
@@ -293,22 +281,11 @@ func TestMuxDuplicateCircuitRejected(t *testing.T) {
 // every pairing. Deliberately NOT skipped under -short: the CI race job
 // runs with -short, and this is precisely the test it exists for.
 func TestMeasureMuxRace(t *testing.T) {
-	runMeasureMuxRace(t, TargetConfig{})
-}
-
-// TestMeasureMuxRaceParallel is the same race workout with the target's
-// parallel decrypt pipeline forced on: reader dispatch, pinned workers,
-// the ordered writer, and the arena ring all under the race detector.
-func TestMeasureMuxRaceParallel(t *testing.T) {
-	runMeasureMuxRace(t, TargetConfig{DecryptWorkers: 4})
-}
-
-func runMeasureMuxRace(t *testing.T, cfg TargetConfig) {
 	id, err := NewIdentity()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _, stop := startTarget(t, cfg, id)
+	addr, _, stop := startTarget(t, TargetConfig{}, id)
 	defer stop()
 
 	res, err := Measure(t.Context(), tcpDialer(addr), MeasureOptions{

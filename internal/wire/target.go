@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"time"
 
@@ -29,35 +28,6 @@ type TargetConfig struct {
 	// must catch (§5): the echoed bytes are not the forward keystream a
 	// real decrypt would have produced.
 	Corrupt bool
-	// DecryptWorkers sets how many decrypt workers each connection shards
-	// its circuits across. 0 picks automatically (GOMAXPROCS, capped);
-	// 1 forces the single-threaded inline path. Circuits are pinned to
-	// workers by ID, so per-circuit keystream state stays single-owner and
-	// echo bytes stay in order per circuit regardless of the worker count.
-	DecryptWorkers int
-}
-
-// maxDecryptWorkers caps the automatic per-connection worker count: past
-// the crypto-to-I/O ratio's break-even, more workers only add dispatch
-// latency for the reader stage.
-const maxDecryptWorkers = 8
-
-// decryptWorkers resolves the configured worker count.
-func (t *Target) decryptWorkers() int {
-	n := t.cfg.DecryptWorkers
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > maxDecryptWorkers {
-			n = maxDecryptWorkers
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > 64 {
-		n = 64 // the pipeline dispatches with a 64-bit worker mask
-	}
-	return n
 }
 
 // Target is the relay-side endpoint: it accepts authenticated measurement
@@ -125,20 +95,19 @@ func (t *Target) Serve(l net.Listener) {
 		if err != nil {
 			return
 		}
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			_ = t.HandleConn(conn)
-		}()
+		go func() { _ = t.HandleConn(conn) }()
 	}
 }
 
 // Close force-closes every open connection — handlers may otherwise
 // block forever reading a connection a measurement coordinator keeps
-// parked in its pool — and waits for the handlers to exit (listeners must
-// be closed by the caller first). The closed flag and the connection set
-// share one critical section with HandleConn's registration, so no
-// handler can slip a connection in after Close has swept the set.
+// parked in its pool — and returns only once every handler has returned:
+// each HandleConn, whether Serve started it or the caller ran it
+// directly, and each ServeUDP loop (listeners and packet conns must be
+// closed by the caller first). The closed flag, the connection set and
+// the handler wait group share one critical section with HandleConn's
+// registration, so no handler can slip a connection in after Close has
+// swept the set.
 func (t *Target) Close() {
 	t.mu.Lock()
 	t.closed = true
@@ -156,22 +125,27 @@ func (t *Target) Close() {
 // coordinator (internal/coord) carries every slot's circuits without
 // re-dialing or re-authenticating.
 func (t *Target) HandleConn(conn net.Conn) error {
-	defer conn.Close()
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
+		conn.Close()
 		return nil
 	}
 	t.conns[conn] = struct{}{}
+	t.wg.Add(1)
 	allowed := make(map[string]bool, len(t.allowed))
 	for k := range t.allowed {
 		allowed[k] = true
 	}
 	t.mu.Unlock()
+	// Done runs last, after the serve loop returned its pooled arenas, so
+	// Close's Wait covers the whole handler.
 	defer func() {
+		conn.Close()
 		t.mu.Lock()
 		delete(t.conns, conn)
 		t.mu.Unlock()
+		t.wg.Done()
 	}()
 
 	var frameScratch [frameScratchLen]byte
@@ -208,7 +182,7 @@ const maxConnCircuits = 1024
 var errTooManyCircuits = errors.New("wire: too many circuits on one connection")
 
 // circTable maps live circuit IDs to their demux entries (crypto state,
-// worker pinning, span marks). The measurer allocates IDs densely from 1,
+// span marks). The measurer allocates IDs densely from 1,
 // so the fast path is an array index; sparse IDs fall back to a map.
 // Lookup cost matters: the demux loop consults it once per data cell.
 type circTable struct {
@@ -307,17 +281,15 @@ func (t *Target) echoBatch(tr Transport, batch []byte, dataCells, chunkBytes int
 }
 
 // serveMux is the relay's hot path: it serves every circuit of one
-// connection, allocation-free in steady state. The stream is processed in
-// three stages — refill (one large Read for up to SuperCells cells into a
-// pooled super arena), demux (route each cell by circuit ID, grouping data
-// cells into per-circuit spans and handling control cells inline), and
-// decrypt (one fat ApplySpans cipher call per span — §4.1's requirement
-// that the relay do its real per-cell crypto work) — then the whole batch
-// is echoed with paced writes.
-//
-// With one decrypt worker all three stages run inline on this goroutine;
-// with more, serveMuxParallel runs refill+demux as a reader stage feeding
-// per-circuit-pinned decrypt workers and a single paced writer.
+// connection, allocation-free in steady state. Each batch goes through
+// three stages on this one goroutine — refill (one large Read for up to
+// SuperCells cells into a pooled super arena), demux (route each cell by
+// circuit ID, grouping data cells into per-circuit spans and handling
+// control cells inline), and decrypt (one fat ApplySpans cipher call per
+// span — §4.1's requirement that the relay do its real per-cell crypto
+// work) — then the whole batch is echoed with paced writes. One loop owns
+// every circuit's CryptoState, so each circuit's keystream advances in
+// stream order with no hand-off.
 //
 // Control cells ride the same stream: MsmtCreate is answered by rewriting
 // the cell in place into MsmtCreated (the X25519 answer key replaces the
@@ -329,12 +301,8 @@ func (t *Target) echoBatch(tr Transport, batch []byte, dataCells, chunkBytes int
 // pooled-connection case).
 func (t *Target) serveMux(conn net.Conn, pub ed25519.PublicKey) error {
 	tr := NewConnTransport(conn)
-	ms := &muxState{t: t, pub: pub, nWorkers: int32(t.decryptWorkers())}
+	ms := &muxState{t: t, pub: pub}
 	defer t.unbindUDP(ms)
-	if ms.nWorkers > 1 {
-		return t.serveMuxParallel(conn, tr, ms)
-	}
-
 	buf := cell.GetSuper()
 	defer cell.PutSuper(buf)
 	cr := newCellReader(tr, *buf)

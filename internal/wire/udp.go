@@ -215,7 +215,7 @@ func (t *Target) ServeUDP(pc DatagramConn) {
 			}
 			continue
 		}
-		if n == 0 || n%cell.Size != 0 {
+		if n == 0 || n%cell.Size != 0 || n > udpDatagramBytes {
 			continue // not cell framing: drop
 		}
 		sess := lastSess

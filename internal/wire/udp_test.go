@@ -266,3 +266,54 @@ func TestUDPDataAfterBindRejected(t *testing.T) {
 		t.Fatal("target accepted TCP data after UDP bind")
 	}
 }
+
+// TestServeUDPDropsOversizeDatagram pins the datagram framing bound: a
+// bound source sending more than udpDatagramCells cells in one datagram —
+// possible on any DatagramConn that is not a real UDP socket — is dropped
+// as noise, and the loop keeps serving the session.
+func TestServeUDPDropsOversizeDatagram(t *testing.T) {
+	tgt := NewTarget(TargetConfig{})
+	ms := allocTestMux(t, 1)
+	ms.t = tgt
+	sess := &udpSession{ms: ms, token: udpToken{1}}
+	if err := tgt.registerUDP(sess); err != nil {
+		t.Fatal(err)
+	}
+	ms.udp = sess
+	cli, srv := newDgramPipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		tgt.ServeUDP(srv)
+	}()
+	defer func() {
+		cli.Close()
+		<-served
+	}()
+	_ = cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+
+	var hello [udpHelloLen]byte
+	copy(hello[:8], udpHelloMagic[:])
+	copy(hello[8:], sess.token[:])
+	buf := make([]byte, cell.SuperBytes)
+	if _, err := cli.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cli.Read(buf); err != nil || n != udpHelloLen {
+		t.Fatalf("hello ack: %d bytes, err %v", n, err)
+	}
+	send := func(cells int) {
+		dg := make([]byte, cells*cell.Size)
+		for i := 0; i < cells; i++ {
+			cell.PutHeader(dg[i*cell.Size:], 1, cell.MsmtData)
+		}
+		if _, err := cli.Write(dg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(udpDatagramCells + 1)
+	send(1)
+	if n, err := cli.Read(buf); err != nil || n != cell.Size {
+		t.Fatalf("echo: %d bytes, err %v; want only the one-cell datagram's echo", n, err)
+	}
+}
