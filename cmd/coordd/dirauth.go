@@ -1,14 +1,14 @@
 package main
 
-// coordd's -dirauth mode: instead of measuring, the process runs the
+// coordd's -dirauth role: instead of measuring, the process runs the
 // directory-authority side of the distributed control plane — an
 // authenticated RPC listener accepting signed v3bw submissions from
-// cmd/bwauthd processes, the internal/dirauth merge service folding the
-// fresh views into a median-of-views bandwidth file, the observability
-// plane serving the merged /v3bw plus /dirauth status, and (with
-// -state-dir) the durable store persisting each accepted submission so
-// a restarted merge node recovers its freshness windows and merged
-// output without waiting for every BWAuth to resubmit.
+// BWAuth columns (coordd -dirauth-addr), the internal/dirauth merge
+// service folding the fresh views into a median-of-views bandwidth file,
+// the observability plane serving the merged /v3bw plus /dirauth status,
+// and (with -state-dir) the durable store persisting each accepted
+// submission so a restarted merge node recovers its freshness windows
+// and merged output without waiting for every BWAuth to resubmit.
 
 import (
 	"context"
@@ -19,36 +19,19 @@ import (
 	"time"
 
 	"flashflow/internal/dirauth"
-	"flashflow/internal/metrics"
 	"flashflow/internal/obs"
 	"flashflow/internal/rpc"
 	"flashflow/internal/store"
 )
 
-// dirauthOptions carries the -dirauth mode's flag values out of run().
-type dirauthOptions struct {
-	rpcAddr    string
-	bwauths    string
-	authSecret string
-	freshFor   time.Duration
-	minViews   int
-	producer   string
-	httpAddr   string
-	stateDir   string
-	noPersist  bool
-	ckptEvery  int
-}
-
-// runDirauth is the -dirauth mode main loop: build the merge service
+// runDirauth is the -dirauth role's main loop: build the merge service
 // (recovering persisted views first), serve RPC submissions until the
 // context is cancelled, then drain and checkpoint.
-func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
+func runDirauth(ctx context.Context, d *daemon) error {
+	o, log := d.opts, d.log
 	names := strings.Split(o.bwauths, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
-	}
-	if o.authSecret == "" {
-		return fmt.Errorf("coordd: -dirauth needs -auth-secret to derive the registered BWAuth keys")
 	}
 	// Demo key management (see OPERATIONS.md): both sides derive each
 	// BWAuth's keypair from the shared secret and the BWAuth's name. A
@@ -65,23 +48,14 @@ func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
 		authorized = append(authorized, id.Pub)
 	}
 
-	counters := metrics.NewCounters()
-	snapshot := &obs.SnapshotHolder{}
-
 	// Durable state: each accepted submission is WAL-appended, and a full
 	// checkpoint is taken every -checkpoint-every "rounds" of submissions
 	// (len(names) accepts). stateMu guards the state struct; the store
 	// serializes its own file access.
-	var durable store.Store
 	state := store.NewState()
-	if o.stateDir != "" && !o.noPersist {
-		fs, err := store.Open(o.stateDir, store.Options{})
-		if err != nil {
-			return fmt.Errorf("coordd: open state dir: %w", err)
-		}
-		defer fs.Close()
-		durable = fs
-		if state, err = fs.Load(); err != nil {
+	if d.store != nil {
+		var err error
+		if state, err = d.store.Load(); err != nil {
 			return fmt.Errorf("coordd: load state: %w", err)
 		}
 	}
@@ -93,8 +67,8 @@ func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
 		Keys:     keys,
 		FreshFor: o.freshFor,
 		MinViews: o.minViews,
-		Producer: o.producer,
-		Counters: counters,
+		Producer: "dirauth",
+		Counters: d.counters,
 		OnAccept: func(v dirauth.View) {
 			log.event("submission",
 				fmt.Sprintf("submission: %s round %d (%d bytes)", v.BWAuth, v.Round, len(v.Body)),
@@ -105,10 +79,10 @@ func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
 				Round: v.Round, Version: v.Version, Unix: v.Received.Unix(),
 				Body: append([]byte(nil), v.Body...),
 			}
-			if durable == nil {
+			if d.store == nil {
 				return
 			}
-			if err := durable.Append(store.Record{
+			if err := d.store.Append(store.Record{
 				Kind: store.KindSubmission, Relay: v.BWAuth, Round: v.Round,
 				Version: v.Version, Unix: v.Received.Unix(), Body: v.Body,
 			}); err != nil {
@@ -116,13 +90,13 @@ func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
 			}
 			accepts++
 			if ckptAccepts > 0 && accepts%ckptAccepts == 0 {
-				if err := durable.Checkpoint(state); err != nil {
+				if err := d.store.Checkpoint(state); err != nil {
 					log.event("store_error", "  store checkpoint: "+err.Error(), "error", err.Error())
 				}
 			}
 		},
 		OnMerge: func(m dirauth.Merged) {
-			if err := snapshot.Publish(m.Round, m.File, time.Now()); err != nil {
+			if err := d.snapshot.Publish(m.Round, m.File, time.Now()); err != nil {
 				log.event("snapshot_error", "  merged snapshot render: "+err.Error(),
 					"round", m.Round, "error", err.Error())
 			}
@@ -160,7 +134,7 @@ func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
 
 	srv, err := rpc.NewServer(rpc.ServerConfig{
 		Authorized:    authorized,
-		Counters:      counters,
+		Counters:      d.counters,
 		CounterPrefix: "dirauth_rpc",
 		Handler: func(peer ed25519.PublicKey, method uint8, body []byte) ([]byte, error) {
 			if method != rpc.MethodSubmitV3BW {
@@ -191,33 +165,22 @@ func runDirauth(ctx context.Context, log *logger, o dirauthOptions) error {
 	log.event("rpc", fmt.Sprintf("dirauth: rpc on %s, registered bwauths: %s", addr, strings.Join(names, ",")),
 		"addr", addr.String(), "bwauths", names)
 
-	obsSrv := obs.NewServer(obs.Config{Counters: counters, Snapshot: snapshot, Merge: svc})
-	if o.httpAddr != "" {
-		haddr, err := obsSrv.Start(o.httpAddr)
-		if err != nil {
-			return fmt.Errorf("coordd: observability server: %w", err)
-		}
-		log.event("http", fmt.Sprintf("observability: http://%s (/metrics /dirauth /v3bw)", haddr),
-			"addr", haddr.String())
+	if err := d.serve(obs.Config{Merge: svc}, "/metrics /dirauth /v3bw"); err != nil {
+		srv.Close()
+		return err
 	}
 
 	<-ctx.Done()
 	log.event("shutdown", "coordd: dirauth mode interrupted — draining")
 	srv.Close()
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainBudget)
-	if err := obsSrv.Shutdown(drainCtx); err != nil {
-		log.event("shutdown_error", "coordd: http drain: "+err.Error(), "error", err.Error())
-	}
-	cancel()
-	if durable != nil {
+	d.drain(nil)
+	if d.store != nil {
 		stateMu.Lock()
-		if err := durable.Checkpoint(state); err != nil {
+		if err := d.store.Checkpoint(state); err != nil {
 			log.event("store_error", "coordd: final checkpoint: "+err.Error(), "error", err.Error())
 		}
 		stateMu.Unlock()
 	}
-	if !log.json {
-		fmt.Print(counters.String())
-	}
+	d.dumpCounters()
 	return nil
 }

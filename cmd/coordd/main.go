@@ -1,63 +1,49 @@
-// Command coordd runs FlashFlow as a long-lived continuous-measurement
-// service (internal/coord): it spins up an in-process population of target
-// relays — speaking the real wire protocol over localhost TCP by default,
-// or simulated instantly with -sim — then drives scheduler rounds over the
-// whole population until interrupted: measuring every relay each round
-// with a bounded worker pool, reusing pooled connections across rounds,
-// retrying failed slots with backoff, feeding each round's medians into
-// the next round's priors, and publishing v3bw-style bandwidth-file
-// snapshots to disk and to the HTTP observability plane.
+// Command coordd is FlashFlow's daemon. Flags pick one of three roles:
 //
-// With -http-addr set, the internal/obs server exposes GET /metrics
-// (Prometheus text format), /status and /status/anomalies (JSON), and
-// /v3bw (the latest snapshot behind an atomically swapped pre-rendered
-// body with ETag revalidation). -debug-addr serves net/http/pprof on a
-// separate listener. Threshold crossings in the §5 anomaly table emit
-// alerts to the log and, with -alert-webhook, to a webhook with
-// retry/backoff.
+//   - Standalone (the default): a continuous-measurement service
+//     (internal/coord) over an in-process relay population — wire
+//     targets on localhost TCP, or the simulation with -sim. Every round
+//     measures each relay with a bounded worker pool and pooled
+//     connections, retries failed slots, feeds its medians into the next
+//     round's priors, and publishes a v3bw-style bandwidth file to disk
+//     and to the HTTP observability plane.
+//   - BWAuth column (-dirauth-addr A -auth-secret S, named by -name): the
+//     same coordinator, run as one bandwidth authority of a distributed
+//     deployment (paper §4.3). Each round's view is signed with the
+//     BWAuth's ed25519 key — derived from S and -name, demo key
+//     management only — and submitted to the merge node at A over the
+//     authenticated RPC (internal/rpc). A round cut short by shutdown is
+//     never submitted.
+//   - Merge node (-dirauth): accepts signed submissions from the columns,
+//     merges the fresh views median-of-views (internal/dirauth), and
+//     serves the merged file on /v3bw and per-BWAuth state on /dirauth.
 //
-// With -state-dir set, the coordinator's cross-round state (per-relay
-// priors, §5 anomaly windows, round counter, last published v3bw
-// snapshot) is durable (internal/store): every mutation is logged to a
-// CRC-framed write-ahead log and a full snapshot is checkpointed every
-// -checkpoint-every rounds, so a restart with the same -state-dir resumes
-// warm — same priors, same anomaly windows, next round number — instead
-// of re-converging from consensus estimates. See OPERATIONS.md for the
-// state-dir layout and recovery semantics.
+// The -sim backend is noise-free: it consumes no randomness, so two
+// identical runs publish identical v3bw bodies whatever the worker
+// interleaving, and two identical distributed runs merge to identical
+// bodies.
 //
-// With -dirauth, coordd instead runs the directory-authority merge node
-// of the distributed control plane: it accepts signed v3bw submissions
-// from cmd/bwauthd processes over the authenticated RPC protocol
-// (internal/rpc), merges the fresh views median-of-views style
-// (internal/dirauth.MergeService), serves the merged file on /v3bw and
-// the per-BWAuth submission state on /dirauth, and persists accepted
-// submissions through -state-dir so a restart recovers its freshness
-// windows. See OPERATIONS.md "Multi-node deployment" for the full
-// runbook.
+// -http-addr serves /metrics, /status, /status/anomalies and /v3bw
+// (internal/obs); -debug-addr serves pprof. §5 anomaly thresholds raise
+// alerts to the log and, with -alert-webhook, to a webhook. -state-dir
+// makes state durable (internal/store): a column's priors, anomaly
+// windows, round counter and last v3bw, or a merge node's accepted
+// submissions, so a restart resumes warm.
 //
-// SIGINT or SIGTERM triggers a graceful shutdown: in-flight measurement
-// slots are cancelled mid-slot (the streaming backends tear them down
-// within about one second of data, salvaging the completed seconds as
-// partial estimates), the HTTP server drains, pending alerts flush, the
-// final (partial) round is reported, a final checkpoint is flushed so
-// even an interrupt loses at most the in-flight round, and the process
-// exits cleanly.
-//
-// Usage:
-//
-//	go run ./cmd/coordd [-relays 4] [-measurers 2] [-workers 4] \
-//	    [-rounds 0] [-interval 2s] [-slot 1] [-slot-timeout 0] [-pool 4] \
-//	    [-pool-ttl 90s] [-snapshot-dir DIR] [-attempts 3] [-relay-rate 0] \
-//	    [-state-dir DIR] [-checkpoint-every 1] [-no-persist] \
-//	    [-sim] [-http-addr 127.0.0.1:8570] [-debug-addr 127.0.0.1:8571] \
-//	    [-log-format text|json] [-alert-webhook URL]
+// SIGINT or SIGTERM shuts down gracefully: in-flight slots are cancelled
+// within about a second, salvaging completed seconds; the HTTP server
+// drains, alerts flush, the partial round is reported, and a final
+// checkpoint is written. README.md lists every flag; OPERATIONS.md is
+// the runbook for each role.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -74,6 +60,7 @@ import (
 	"flashflow/internal/metrics"
 	"flashflow/internal/obs"
 	"flashflow/internal/relay"
+	"flashflow/internal/rpc"
 	"flashflow/internal/store"
 	"flashflow/internal/wire"
 )
@@ -84,11 +71,117 @@ import (
 // process past the window operators already expect.
 const drainBudget = time.Second
 
+// submitTimeout is the deadline of one submission RPC to the merge node.
+const submitTimeout = 10 * time.Second
+
 func main() {
-	if err := run(); err != nil && err != context.Canceled {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil && err != context.Canceled {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// options holds every flag value; one set serves all three roles.
+type options struct {
+	relays, measurers, workers, rounds, slotSecs, sockets int
+	poolSize, attempts, ckptEvery, minViews               int
+	baseMbit, relayRate                                   float64
+	interval, poolTTL, slotTimeout, freshFor              time.Duration
+	snapshotDir, stateDir, httpAddr, debugAddr, logFormat string
+	webhook, name, dirauthAddr, authSecret                string
+	rpcAddr, bwauths                                      string
+	alertClamp, alertEcho, alertSplit                     int64
+	noPersist, sim, dirauth                               bool
+}
+
+// parseFlags parses args into options and rejects contradictory roles.
+func parseFlags(args []string) (*options, error) {
+	var o options
+	fs := flag.NewFlagSet("coordd", flag.ContinueOnError)
+	fs.IntVar(&o.relays, "relays", 4, "number of in-process target relays")
+	fs.Float64Var(&o.baseMbit, "rate", 8, "slowest relay capacity in Mbit/s (others step up from it)")
+	fs.IntVar(&o.measurers, "measurers", 2, "measurement team size")
+	fs.IntVar(&o.workers, "workers", 4, "concurrent slot executions")
+	fs.IntVar(&o.rounds, "rounds", 0, "rounds to run (0 = until SIGINT)")
+	fs.DurationVar(&o.interval, "interval", 2*time.Second, "pause between rounds")
+	fs.IntVar(&o.slotSecs, "slot", 1, "measurement slot length t in seconds")
+	fs.IntVar(&o.sockets, "sockets", 4, "total measurement sockets s")
+	fs.IntVar(&o.poolSize, "pool", 4, "max idle pooled connections per target")
+	fs.DurationVar(&o.poolTTL, "pool-ttl", 90*time.Second, "idle connection TTL")
+	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "directory for v3bw snapshots (empty = none)")
+	fs.IntVar(&o.attempts, "attempts", 3, "max measurement attempts per slot")
+	fs.DurationVar(&o.slotTimeout, "slot-timeout", 0, "wall-clock bound per slot assignment; its context is cancelled on expiry (0 = off)")
+	fs.Float64Var(&o.relayRate, "relay-rate", 0, "per-relay attempt rate limit per second (0 = off)")
+	fs.StringVar(&o.stateDir, "state-dir", "", "directory for durable state (coordinator: priors, anomaly windows, round counter, last v3bw; merge node: accepted submissions); empty = in-memory only")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 1, "rounds between full state checkpoints (the WAL covers the gap)")
+	fs.BoolVar(&o.noPersist, "no-persist", false, "ignore -state-dir and run without durable state")
+	fs.BoolVar(&o.sim, "sim", false, "simulated measurement backend: noise-free, deterministic, no sockets, rounds complete instantly")
+	fs.StringVar(&o.httpAddr, "http-addr", "", "observability HTTP listen address (/metrics, /status, /v3bw); empty = off")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "pprof listen address (net/http/pprof); empty = off")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text (human) or json (one object per line)")
+	fs.StringVar(&o.webhook, "alert-webhook", "", "POST threshold alerts as JSON to this URL (retried with backoff)")
+	fs.Int64Var(&o.alertClamp, "alert-clamp-seconds", 30, "alert when a relay accumulates this many clamped seconds (0 = off)")
+	fs.Int64Var(&o.alertEcho, "alert-echo-failures", 1, "alert when a relay accumulates this many echo-failures (0 = off)")
+	fs.Int64Var(&o.alertSplit, "alert-split-view", 1, "alert when a relay accumulates this many split-view rounds (0 = off)")
+	fs.StringVar(&o.authSecret, "auth-secret", "", "shared secret the demo key derivation uses, on columns and merge node alike (see OPERATIONS.md; not for production)")
+
+	// BWAuth column: submit each round's signed view to a merge node.
+	fs.StringVar(&o.name, "name", "bw0", "this BWAuth's name (its column and, with -dirauth-addr, its submission identity)")
+	fs.StringVar(&o.dirauthAddr, "dirauth-addr", "", "merge node RPC address (coordd -dirauth -rpc-addr) to submit each round's view to; empty = standalone")
+
+	// Merge node: run the dirauth side instead of measuring (see
+	// cmd/coordd/dirauth.go and OPERATIONS.md).
+	fs.BoolVar(&o.dirauth, "dirauth", false, "run as the dirauth merge node: accept signed v3bw submissions over RPC and serve the median-of-views merge")
+	fs.StringVar(&o.rpcAddr, "rpc-addr", "127.0.0.1:8580", "dirauth mode: RPC listen address for BWAuth submissions")
+	fs.StringVar(&o.bwauths, "bwauths", "bw0,bw1,bw2", "dirauth mode: comma-separated registered BWAuth names")
+	fs.DurationVar(&o.freshFor, "fresh-for", 15*time.Minute, "dirauth mode: per-BWAuth submission freshness window (0 = views never expire)")
+	fs.IntVar(&o.minViews, "min-views", 1, "dirauth mode: minimum fresh views required to merge")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	switch {
+	case o.slotSecs <= 0:
+		// Guard explicitly: a zero SlotSeconds would read as "params not
+		// set" downstream and silently select the 30-second default.
+		return nil, fmt.Errorf("coordd: -slot must be positive, got %d", o.slotSecs)
+	case o.relays <= 0:
+		return nil, fmt.Errorf("coordd: -relays must be positive, got %d", o.relays)
+	case o.logFormat != "text" && o.logFormat != "json":
+		return nil, fmt.Errorf("coordd: -log-format must be text or json, got %q", o.logFormat)
+	case o.dirauth && o.dirauthAddr != "":
+		return nil, fmt.Errorf("coordd: -dirauth and -dirauth-addr are exclusive: a merge node does not submit")
+	case o.dirauth && o.authSecret == "":
+		return nil, fmt.Errorf("coordd: -dirauth needs -auth-secret to derive the registered BWAuth keys")
+	case o.dirauthAddr != "" && o.authSecret == "":
+		return nil, fmt.Errorf("coordd: -dirauth-addr needs -auth-secret to derive this BWAuth's identity")
+	}
+	return &o, nil
+}
+
+// run parses args and runs the role they select until ctx is cancelled
+// or the configured rounds are done, logging to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	o, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	log := &logger{w: stdout, json: o.logFormat == "json"}
+	d, err := newDaemon(log, o)
+	if err != nil {
+		return err
+	}
+	defer d.close()
+	if o.dirauth {
+		return runDirauth(ctx, d)
+	}
+	return runColumn(ctx, d)
 }
 
 // logger emits coordd's operational records in one of two formats: the
@@ -97,6 +190,7 @@ func main() {
 // reports, and alerts are machine-ingestable by a log pipeline.
 type logger struct {
 	mu   sync.Mutex
+	w    io.Writer
 	json bool
 }
 
@@ -106,7 +200,7 @@ func (l *logger) event(kind, human string, fields ...any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.json {
-		fmt.Println(human)
+		fmt.Fprintln(l.w, human)
 		return
 	}
 	doc := make(map[string]any, len(fields)/2+2)
@@ -120,174 +214,166 @@ func (l *logger) event(kind, human string, fields ...any) {
 		fmt.Fprintf(os.Stderr, "coordd: log marshal: %v\n", err)
 		return
 	}
-	os.Stdout.Write(append(b, '\n'))
+	l.w.Write(append(b, '\n'))
 }
 
-func run() error {
-	var (
-		relays      = flag.Int("relays", 4, "number of in-process target relays")
-		baseMbit    = flag.Float64("rate", 8, "slowest relay capacity in Mbit/s (others step up from it)")
-		measurers   = flag.Int("measurers", 2, "measurement team size")
-		workers     = flag.Int("workers", 4, "concurrent slot executions")
-		rounds      = flag.Int("rounds", 0, "rounds to run (0 = until SIGINT)")
-		interval    = flag.Duration("interval", 2*time.Second, "pause between rounds")
-		slotSecs    = flag.Int("slot", 1, "measurement slot length t in seconds")
-		sockets     = flag.Int("sockets", 4, "total measurement sockets s")
-		poolSize    = flag.Int("pool", 4, "max idle pooled connections per target")
-		poolTTL     = flag.Duration("pool-ttl", 90*time.Second, "idle connection TTL")
-		snapshotDir = flag.String("snapshot-dir", "", "directory for v3bw snapshots (empty = none)")
-		attempts    = flag.Int("attempts", 3, "max measurement attempts per slot")
-		slotTimeout = flag.Duration("slot-timeout", 0, "wall-clock bound per slot assignment; its context is cancelled on expiry (0 = off)")
-		relayRate   = flag.Float64("relay-rate", 0, "per-relay attempt rate limit per second (0 = off)")
-		stateDir    = flag.String("state-dir", "", "directory for durable coordinator state (priors, anomaly windows, round counter, last v3bw); empty = in-memory only")
-		ckptEvery   = flag.Int("checkpoint-every", 1, "rounds between full state checkpoints (the WAL covers the gap)")
-		noPersist   = flag.Bool("no-persist", false, "ignore -state-dir and run without durable state")
-		sim         = flag.Bool("sim", false, "simulated measurement backend: deterministic, no sockets, rounds complete instantly")
-		httpAddr    = flag.String("http-addr", "", "observability HTTP listen address (/metrics, /status, /v3bw); empty = off")
-		debugAddr   = flag.String("debug-addr", "", "pprof listen address (net/http/pprof); empty = off")
-		logFormat   = flag.String("log-format", "text", "log output format: text (human) or json (one object per line)")
-		webhook     = flag.String("alert-webhook", "", "POST threshold alerts as JSON to this URL (retried with backoff)")
-		alertClamp  = flag.Int64("alert-clamp-seconds", 30, "alert when a relay accumulates this many clamped seconds (0 = off)")
-		alertEcho   = flag.Int64("alert-echo-failures", 1, "alert when a relay accumulates this many echo-failures (0 = off)")
-		alertSplit  = flag.Int64("alert-split-view", 1, "alert when a relay accumulates this many split-view rounds (0 = off)")
+// daemon is the lifecycle every role shares: the logger, the counter
+// registry every layer reports into, the snapshot /v3bw serves, the
+// durable store, and the observability plane. Each role opens it, serves,
+// drains, dumps its counters, and closes it — in that order.
+type daemon struct {
+	log      *logger
+	opts     *options
+	counters *metrics.Counters
+	snapshot *obs.SnapshotHolder
+	store    store.Store // nil: in-memory only
+	http     *obs.Server
+	debug    net.Listener
+}
 
-		// -dirauth mode: run the directory-authority merge node instead of
-		// measuring (see cmd/coordd/dirauth.go and OPERATIONS.md).
-		dirauthMode = flag.Bool("dirauth", false, "run as the dirauth merge node: accept signed v3bw submissions over RPC and serve the median-of-views merge")
-		rpcAddr     = flag.String("rpc-addr", "127.0.0.1:8580", "dirauth mode: RPC listen address for BWAuth submissions")
-		bwauthNames = flag.String("bwauths", "bw0,bw1,bw2", "dirauth mode: comma-separated registered BWAuth names")
-		authSecret  = flag.String("auth-secret", "", "dirauth mode: shared secret the demo key derivation uses (see OPERATIONS.md; not for production)")
-		freshFor    = flag.Duration("fresh-for", 15*time.Minute, "dirauth mode: per-BWAuth submission freshness window (0 = views never expire)")
-		minViews    = flag.Int("min-views", 1, "dirauth mode: minimum fresh views required to merge")
-		producer    = flag.String("producer", "dirauth", "dirauth mode: producer header of the merged bandwidth file")
-	)
-	flag.Parse()
-	if *slotSecs <= 0 {
-		// Guard explicitly: a zero SlotSeconds would read as "params not
-		// set" downstream and silently select the 30-second default.
-		return fmt.Errorf("coordd: -slot must be positive, got %d", *slotSecs)
-	}
-	if *relays <= 0 {
-		return fmt.Errorf("coordd: -relays must be positive, got %d", *relays)
-	}
-	if *logFormat != "text" && *logFormat != "json" {
-		return fmt.Errorf("coordd: -log-format must be text or json, got %q", *logFormat)
-	}
-	log := &logger{json: *logFormat == "json"}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *dirauthMode {
-		return runDirauth(ctx, log, dirauthOptions{
-			rpcAddr:    *rpcAddr,
-			bwauths:    *bwauthNames,
-			authSecret: *authSecret,
-			freshFor:   *freshFor,
-			minViews:   *minViews,
-			producer:   *producer,
-			httpAddr:   *httpAddr,
-			stateDir:   *stateDir,
-			noPersist:  *noPersist,
-			ckptEvery:  *ckptEvery,
-		})
-	}
-
-	p := core.DefaultParams()
-	p.SlotSeconds = *slotSecs
-	p.Sockets = *sockets
-	p.CheckProb = 0.01
-
-	counters := metrics.NewCounters()
-
-	// Relay population + measurement backend: real wire targets over
-	// localhost TCP, or the deterministic simulation (-sim) whose slots
-	// consume no wall clock — the mode CI's endpoint smoke test runs.
-	var (
-		auths   []*core.BWAuth
-		source  coord.StaticRelays
-		pool    *coord.Pool
-		cleanup func()
-	)
-	if *sim {
-		backend := core.NewSimBackend(simPaths(*measurers), 1)
-		team := make([]*core.Measurer, *measurers)
-		for i := range team {
-			team[i] = &core.Measurer{Name: fmt.Sprintf("m%d", i), CapacityBps: 500e6, Cores: 2}
-		}
-		for i := 0; i < *relays; i++ {
-			name := fmt.Sprintf("relay%02d", i)
-			rate := *baseMbit * 1e6 * (1 + 0.5*float64(i))
-			backend.AddTarget(name, &core.SimTarget{
-				Relay:    relay.New(relay.Config{Name: name, TorCapBps: rate}),
-				LinkBps:  2e9,
-				Behavior: core.BehaviorHonest,
-			})
-			source = append(source, core.RelayEstimate{Name: name, EstimateBps: rate})
-			log.event("relay", fmt.Sprintf("%s: simulated, capacity %.1f Mbit/s", name, rate/1e6),
-				"name", name, "backend", "sim", "capacity_mbit", rate/1e6)
-		}
-		auths = []*core.BWAuth{core.NewBWAuth("bw0", team, backend, p)}
-		cleanup = func() {}
-	} else {
-		var err error
-		auths, source, pool, cleanup, err = wireSetup(log, *relays, *measurers, *baseMbit, *poolSize, *poolTTL, p)
+// newDaemon opens the durable store under -state-dir unless -no-persist
+// is set. The caller closes the daemon once its role has finished.
+func newDaemon(log *logger, o *options) (*daemon, error) {
+	d := &daemon{log: log, opts: o, counters: metrics.NewCounters(), snapshot: &obs.SnapshotHolder{}}
+	if o.stateDir != "" && !o.noPersist {
+		fs, err := store.Open(o.stateDir, store.Options{})
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("coordd: open state dir: %w", err)
 		}
+		d.store = fs
+	}
+	return d, nil
+}
+
+// serve starts the observability plane on -http-addr and pprof on
+// -debug-addr, logging each bound address. cfg names the role's status
+// source; routes lists its paths for the log line.
+func (d *daemon) serve(cfg obs.Config, routes string) error {
+	cfg.Counters, cfg.Snapshot = d.counters, d.snapshot
+	d.http = obs.NewServer(cfg)
+	if d.opts.httpAddr != "" {
+		addr, err := d.http.Start(d.opts.httpAddr)
+		if err != nil {
+			return fmt.Errorf("coordd: observability server: %w", err)
+		}
+		d.log.event("http", fmt.Sprintf("observability: http://%s (%s)", addr, routes),
+			"addr", addr.String())
+	}
+	if d.opts.debugAddr != "" {
+		dl, err := net.Listen("tcp", d.opts.debugAddr)
+		if err != nil {
+			return fmt.Errorf("coordd: debug server: %w", err)
+		}
+		d.debug = dl
+		debugSrv := &http.Server{Handler: obs.DebugHandler(), ReadHeaderTimeout: 5 * time.Second}
+		go func() { _ = debugSrv.Serve(dl) }()
+		d.log.event("pprof", fmt.Sprintf("pprof: http://%s/debug/pprof/", dl.Addr()),
+			"addr", dl.Addr().String())
+	}
+	return nil
+}
+
+// drain stops the observability plane inside drainBudget: the HTTP
+// server finishes in-flight responses, then flush (pending alerts, when
+// non-nil) gets the remainder before it is cancelled.
+func (d *daemon) drain(flush func(context.Context) error) {
+	ctx, cancel := context.WithTimeout(context.Background(), drainBudget)
+	defer cancel()
+	if err := d.http.Shutdown(ctx); err != nil {
+		d.log.event("shutdown_error", "coordd: http drain: "+err.Error(), "error", err.Error())
+	}
+	if flush == nil {
+		return
+	}
+	if err := flush(ctx); err != nil {
+		d.log.event("shutdown_error", "coordd: alert flush: "+err.Error(), "error", err.Error())
+	}
+}
+
+// dumpCounters logs every counter once, at exit.
+func (d *daemon) dumpCounters() {
+	doc := make(map[string]int64)
+	for _, kv := range d.counters.SortedSnapshot() {
+		doc[kv.Name] = kv.Value
+	}
+	d.log.event("counters", strings.TrimSuffix(d.counters.String(), "\n"), "counters", doc)
+}
+
+// close releases the pprof listener and the durable store. It does not
+// checkpoint: each role flushes its own final state first.
+func (d *daemon) close() {
+	if d.debug != nil {
+		d.debug.Close()
+	}
+	if d.store != nil {
+		d.store.Close()
+	}
+}
+
+// runColumn measures the population round by round — standalone, or as
+// a BWAuth column submitting each round's view with -dirauth-addr.
+func runColumn(ctx context.Context, d *daemon) error {
+	o, log := d.opts, d.log
+	p := core.DefaultParams()
+	p.SlotSeconds = o.slotSecs
+	p.Sockets = o.sockets
+	p.CheckProb = 0.01
+	if o.sim {
+		// Echo checks draw randomness; the noise-free sim draws none.
+		p.CheckProb = 0
+	}
+	auth, source, pool, cleanup, err := population(log, o, p)
+	if err != nil {
+		return err
 	}
 	defer cleanup()
 
-	// Observability plane: snapshot holder fed by the coordinator's
-	// OnSnapshot hook, alert manager fed by the per-round anomaly table,
-	// HTTP server exposing both plus /metrics and /status.
-	snapshot := &obs.SnapshotHolder{}
+	var sub *submitter
+	if o.dirauthAddr != "" {
+		if sub, err = newSubmitter(d); err != nil {
+			return err
+		}
+		defer sub.client.Close()
+	}
+
+	// Alert manager fed by the per-round anomaly table.
 	thresholds := obs.DefaultThresholds()
-	thresholds.ClampedSeconds = *alertClamp
-	thresholds.EchoFailures = *alertEcho
-	thresholds.SplitViewRounds = *alertSplit
-	sinks := []obs.Sink{&obs.LogSink{W: os.Stdout, JSON: log.json}}
-	if *webhook != "" {
-		sinks = append(sinks, &obs.WebhookSink{URL: *webhook})
+	thresholds.ClampedSeconds = o.alertClamp
+	thresholds.EchoFailures = o.alertEcho
+	thresholds.SplitViewRounds = o.alertSplit
+	sinks := []obs.Sink{&obs.LogSink{W: log.w, JSON: log.json}}
+	if o.webhook != "" {
+		sinks = append(sinks, &obs.WebhookSink{URL: o.webhook})
 	}
 	alerts := obs.NewAlertManager(obs.AlertConfig{
 		Thresholds: thresholds,
 		Sinks:      sinks,
-		Counters:   counters,
+		Counters:   d.counters,
 	})
-
-	// Durable state: opened before the coordinator so New can replay the
-	// WAL onto the latest snapshot and resume warm. Closed after Run's
-	// final checkpoint has flushed.
-	var durable store.Store
-	if *stateDir != "" && !*noPersist {
-		fs, err := store.Open(*stateDir, store.Options{})
-		if err != nil {
-			return fmt.Errorf("coordd: open state dir: %w", err)
-		}
-		defer fs.Close()
-		durable = fs
-	}
+	defer alerts.Close()
 
 	var c *coord.Coordinator
-	cfg := coord.Config{
+	c, err = coord.New(coord.Config{
 		Params:              p,
-		Workers:             *workers,
-		MaxAttempts:         *attempts,
-		SlotTimeout:         *slotTimeout,
-		RelayAttemptsPerSec: *relayRate,
+		Workers:             o.workers,
+		MaxAttempts:         o.attempts,
+		SlotTimeout:         o.slotTimeout,
+		RelayAttemptsPerSec: o.relayRate,
 		RelayBurst:          2,
-		RoundInterval:       *interval,
-		MaxRounds:           *rounds,
-		SnapshotDir:         *snapshotDir,
+		RoundInterval:       o.interval,
+		MaxRounds:           o.rounds,
+		SnapshotDir:         o.snapshotDir,
 		Pool:                pool,
-		Store:               durable,
-		CheckpointEvery:     *ckptEvery,
-		Counters:            counters,
+		Store:               d.store,
+		CheckpointEvery:     o.ckptEvery,
+		Counters:            d.counters,
 		OnSnapshot: func(round int, f *dirauth.BandwidthFile) {
-			if err := snapshot.Publish(round, f, time.Now()); err != nil {
+			if err := d.snapshot.Publish(round, f, time.Now()); err != nil {
 				log.event("snapshot_error", "  snapshot render: "+err.Error(),
 					"round", round, "error", err.Error())
+			}
+			if sub != nil {
+				sub.submit(ctx, round, f)
 			}
 		},
 		OnRound: func(r coord.RoundReport) {
@@ -296,102 +382,69 @@ func run() error {
 			alerts.Evaluate(r.Round, st.Anomalies, time.Now())
 			alerts.Retain(st.Anomalies)
 		},
-	}
-	c, err := coord.New(cfg, auths, source)
+	}, []*core.BWAuth{auth}, source)
 	if err != nil {
 		return err
 	}
-	if durable != nil {
+	if d.store != nil {
 		s := c.Status()
 		log.event("recover",
 			fmt.Sprintf("coordd: durable state from %s: resuming after round %d (%d priors, %d anomaly records)",
-				*stateDir, s.Round, s.Counters["coord_store_recovered_priors"], s.Counters["coord_store_recovered_anomalies"]),
-			"state_dir", *stateDir,
+				o.stateDir, s.Round, s.Counters["coord_store_recovered_priors"], s.Counters["coord_store_recovered_anomalies"]),
+			"state_dir", o.stateDir,
 			"round", s.Round,
 			"priors", s.Counters["coord_store_recovered_priors"],
 			"anomalies", s.Counters["coord_store_recovered_anomalies"])
 	}
-
-	srv := obs.NewServer(obs.Config{Coordinator: c, Counters: counters, Snapshot: snapshot})
-	if *httpAddr != "" {
-		addr, err := srv.Start(*httpAddr)
-		if err != nil {
-			return fmt.Errorf("coordd: observability server: %w", err)
-		}
-		log.event("http", fmt.Sprintf("observability: http://%s (/metrics /status /status/anomalies /v3bw)", addr),
-			"addr", addr.String())
-	}
-	if *debugAddr != "" {
-		dl, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("coordd: debug server: %w", err)
-		}
-		defer dl.Close()
-		debugSrv := &http.Server{Handler: obs.DebugHandler(), ReadHeaderTimeout: 5 * time.Second}
-		go func() { _ = debugSrv.Serve(dl) }()
-		log.event("pprof", fmt.Sprintf("pprof: http://%s/debug/pprof/", dl.Addr()),
-			"addr", dl.Addr().String())
+	if err := d.serve(obs.Config{Coordinator: c}, "/metrics /status /status/anomalies /v3bw"); err != nil {
+		return err
 	}
 
+	target := "standalone"
+	if o.dirauthAddr != "" {
+		target = "submitting to " + o.dirauthAddr
+	}
 	log.event("start",
-		fmt.Sprintf("coordd: %d relays, %d measurers, %d workers; ctrl-C for graceful shutdown",
-			*relays, *measurers, *workers),
-		"relays", *relays, "measurers", *measurers, "workers", *workers, "sim", *sim)
+		fmt.Sprintf("coordd %s: %d relays, %d measurers, %d workers, %s; ctrl-C for graceful shutdown",
+			o.name, o.relays, o.measurers, o.workers, target),
+		"name", o.name, "relays", o.relays, "measurers", o.measurers, "workers", o.workers,
+		"sim", o.sim, "dirauth_addr", o.dirauthAddr)
 	runErr := c.Run(ctx)
 	if runErr == context.Canceled {
 		log.event("shutdown", "coordd: interrupted — in-flight slots cancelled and drained")
 	}
-
-	// Drain the observability plane inside the same ~1 s budget as the
-	// measurement pipeline: the HTTP server finishes in-flight responses,
-	// then pending alerts get the remainder before delivery is cancelled.
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainBudget)
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.event("shutdown_error", "coordd: http drain: "+err.Error(), "error", err.Error())
-	}
-	if err := alerts.Flush(drainCtx); err != nil {
-		log.event("shutdown_error", "coordd: alert flush: "+err.Error(), "error", err.Error())
-	}
-	cancel()
-	alerts.Close()
-
-	// §5 anomaly evidence accumulated over the run: relays whose
-	// measurements tripped the clamp, echo verification, or the
-	// stall/skew/split-view cross-checks (see DESIGN.md).
-	if anomalies := c.Status().Anomalies; len(anomalies) > 0 {
-		names := make([]string, 0, len(anomalies))
-		for name := range anomalies {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		if !log.json {
-			fmt.Println("anomaly suspects:")
-		}
-		for _, name := range names {
-			a := anomalies[name]
-			log.event("anomaly",
-				fmt.Sprintf("  %s: clamped-seconds=%d ratio-clamped=%d echo-failures=%d stall=%d skew=%d split-view=%d",
-					name, a.ClampedSeconds, a.RatioClampedSlots, a.EchoFailures,
-					a.StallSuspectSlots, a.SkewSuspectSlots, a.SplitViewRounds),
-				"relay", name,
-				"clamped_seconds", a.ClampedSeconds,
-				"ratio_clamped_slots", a.RatioClampedSlots,
-				"echo_failures", a.EchoFailures,
-				"stall_suspect_slots", a.StallSuspectSlots,
-				"skew_suspect_slots", a.SkewSuspectSlots,
-				"split_view_rounds", a.SplitViewRounds)
-		}
-	}
-	if log.json {
-		counterDoc := make(map[string]int64)
-		for _, kv := range counters.SortedSnapshot() {
-			counterDoc[kv.Name] = kv.Value
-		}
-		log.event("counters", "", "counters", counterDoc)
-	} else {
-		fmt.Print(counters.String())
-	}
+	d.drain(alerts.Flush)
+	logAnomalies(log, c.Status().Anomalies)
+	d.dumpCounters()
 	return runErr
+}
+
+// logAnomalies reports the §5 anomaly evidence accumulated over the run:
+// relays whose measurements tripped the clamp, echo verification, or the
+// stall/skew/split-view cross-checks (see DESIGN.md).
+func logAnomalies(log *logger, anomalies map[string]core.AnomalyCounts) {
+	names := make([]string, 0, len(anomalies))
+	for name := range anomalies {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		a := anomalies[name]
+		human := fmt.Sprintf("  %s: clamped-seconds=%d ratio-clamped=%d echo-failures=%d stall=%d skew=%d split-view=%d",
+			name, a.ClampedSeconds, a.RatioClampedSlots, a.EchoFailures,
+			a.StallSuspectSlots, a.SkewSuspectSlots, a.SplitViewRounds)
+		if i == 0 {
+			human = "anomaly suspects:\n" + human
+		}
+		log.event("anomaly", human,
+			"relay", name,
+			"clamped_seconds", a.ClampedSeconds,
+			"ratio_clamped_slots", a.RatioClampedSlots,
+			"echo_failures", a.EchoFailures,
+			"stall_suspect_slots", a.StallSuspectSlots,
+			"skew_suspect_slots", a.SkewSuspectSlots,
+			"split_view_rounds", a.SplitViewRounds)
+	}
 }
 
 // logRound emits one round summary.
@@ -429,63 +482,76 @@ func logRound(log *logger, r coord.RoundReport) {
 		"snapshot", r.SnapshotPath)
 }
 
-// simPaths models one low-noise measurement path per team member for the
-// -sim backend.
-func simPaths(measurers int) []core.PathModel {
-	paths := make([]core.PathModel, measurers)
-	for i := range paths {
-		paths[i] = core.PathModel{
-			RTT:         40 * time.Millisecond,
-			LinkBps:     1e9,
-			BiasSigma:   0.03,
-			JitterSigma: 0.02,
+// population builds the BWAuth column and the relays it measures: the
+// noise-free simulation with -sim, otherwise wire targets on localhost
+// listeners measured by a team with pooled authenticated connections.
+// Relay i is named relayNN with capacity -rate × (1 + i/2) Mbit/s.
+func population(log *logger, o *options, p core.Params) (*core.BWAuth, coord.StaticRelays, *coord.Pool, func(), error) {
+	team := make([]*core.Measurer, o.measurers)
+	for i := range team {
+		team[i] = &core.Measurer{Name: fmt.Sprintf("m%d", i), CapacityBps: 500e6, Cores: 2}
+	}
+	source := make(coord.StaticRelays, o.relays)
+	for i := range source {
+		source[i] = core.RelayEstimate{
+			Name:        fmt.Sprintf("relay%02d", i),
+			EstimateBps: o.baseMbit * 1e6 * (1 + 0.5*float64(i)),
 		}
 	}
-	return paths
-}
 
-// wireSetup builds the default real-socket population: wire targets on
-// localhost listeners, a measurement team with pooled authenticated
-// connections, and one BWAuth over the wire backend.
-func wireSetup(log *logger, relays, measurers int, baseMbit float64, poolSize int, poolTTL time.Duration, p core.Params) ([]*core.BWAuth, coord.StaticRelays, *coord.Pool, func(), error) {
-	ids := make([]wire.Identity, measurers)
+	if o.sim {
+		// Zero-sigma paths consume no randomness, so slot results — and
+		// therefore each round's v3bw view — are byte-deterministic no
+		// matter how the worker pool interleaves.
+		paths := make([]core.PathModel, o.measurers)
+		for i := range paths {
+			paths[i] = core.PathModel{RTT: 40 * time.Millisecond, LinkBps: 1e9}
+		}
+		backend := core.NewSimBackend(paths, 1)
+		for _, r := range source {
+			backend.AddTarget(r.Name, &core.SimTarget{
+				Relay:    relay.New(relay.Config{Name: r.Name, TorCapBps: r.EstimateBps}),
+				LinkBps:  2e9,
+				Behavior: core.BehaviorHonest,
+			})
+			log.event("relay", fmt.Sprintf("%s: simulated, capacity %.1f Mbit/s", r.Name, r.EstimateBps/1e6),
+				"name", r.Name, "backend", "sim", "capacity_mbit", r.EstimateBps/1e6)
+		}
+		return core.NewBWAuth(o.name, team, backend, p), source, nil, func() {}, nil
+	}
+
+	ids := make([]wire.Identity, o.measurers)
 	for i := range ids {
 		var err error
-		ids[i], err = wire.NewIdentity()
-		if err != nil {
+		if ids[i], err = wire.NewIdentity(); err != nil {
 			return nil, nil, nil, nil, err
 		}
 	}
-
-	addrs := make(map[string]string, relays)
-	source := make(coord.StaticRelays, 0, relays)
+	addrs := make(map[string]string, o.relays)
 	var listeners []net.Listener
-	cleanupListeners := func() {
+	closeListeners := func() {
 		for _, l := range listeners {
 			l.Close()
 		}
 	}
-	for i := 0; i < relays; i++ {
-		name := fmt.Sprintf("relay%02d", i)
-		rate := baseMbit * 1e6 * (1 + 0.5*float64(i))
-		tgt := wire.NewTarget(wire.TargetConfig{RateBps: rate})
+	for _, r := range source {
+		tgt := wire.NewTarget(wire.TargetConfig{RateBps: r.EstimateBps})
 		for _, id := range ids {
 			tgt.Authorize(id.Pub)
 		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			cleanupListeners()
+			closeListeners()
 			return nil, nil, nil, nil, err
 		}
 		listeners = append(listeners, l)
 		go tgt.Serve(l)
-		addrs[name] = l.Addr().String()
-		source = append(source, core.RelayEstimate{Name: name, EstimateBps: rate})
-		log.event("relay", fmt.Sprintf("%s: %s, capacity %.1f Mbit/s", name, l.Addr(), rate/1e6),
-			"name", name, "addr", l.Addr().String(), "capacity_mbit", rate/1e6)
+		addrs[r.Name] = l.Addr().String()
+		log.event("relay", fmt.Sprintf("%s: %s, capacity %.1f Mbit/s", r.Name, l.Addr(), r.EstimateBps/1e6),
+			"name", r.Name, "addr", l.Addr().String(), "capacity_mbit", r.EstimateBps/1e6)
 	}
 
-	pool := coord.NewPool(poolSize, poolTTL)
+	pool := coord.NewPool(o.poolSize, o.poolTTL)
 	members := make([]wire.Member, len(ids))
 	for i := range ids {
 		member := i
@@ -502,15 +568,81 @@ func wireSetup(log *logger, relays, measurers int, baseMbit float64, poolSize in
 			},
 		}
 	}
-	team := make([]*core.Measurer, len(ids))
-	for i := range team {
-		team[i] = &core.Measurer{Name: fmt.Sprintf("m%d", i), CapacityBps: 500e6, Cores: 2}
-	}
 	backend := &wire.Backend{Members: members, CheckProb: p.CheckProb, Seed: time.Now().UnixNano()}
-	auths := []*core.BWAuth{core.NewBWAuth("bw0", team, backend, p)}
 	cleanup := func() {
-		cleanupListeners()
+		closeListeners()
 		pool.Close()
 	}
-	return auths, source, pool, cleanup, nil
+	return core.NewBWAuth(o.name, team, backend, p), source, pool, cleanup, nil
+}
+
+// submitter signs each round's view with this BWAuth's identity and
+// delivers it to the merge node over one cached authenticated
+// connection, redialed transparently if the merge node restarts between
+// rounds. Its coord_rpc_* counters land in the registry /metrics serves.
+type submitter struct {
+	log    *logger
+	client *rpc.Client
+	id     wire.Identity
+	name   string
+}
+
+func newSubmitter(d *daemon) (*submitter, error) {
+	addr := d.opts.dirauthAddr
+	id := rpc.DeriveIdentity(d.opts.authSecret, d.opts.name)
+	client, err := rpc.NewClient(rpc.ClientConfig{
+		Dial: func(ctx context.Context) (io.ReadWriteCloser, error) {
+			var nd net.Dialer
+			return nd.DialContext(ctx, "tcp", addr)
+		},
+		Identity: id,
+		Counters: d.counters,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &submitter{log: d.log, client: client, id: id, name: d.opts.name}, nil
+}
+
+// submit sends one round's view. A round cut short by shutdown (ctx
+// already cancelled) is partial and is skipped, not sent. A
+// *rpc.ServerError is a protocol-level rejection (stale after a restart
+// republish, version skew) — logged, connection kept; transport errors
+// already got the client's one redial retry, so what reaches here is a
+// down or unreachable merge node, and the round simply goes unsubmitted
+// (the next round retries with a fresh dial).
+func (s *submitter) submit(ctx context.Context, round int, f *dirauth.BandwidthFile) {
+	if ctx.Err() != nil {
+		s.log.event("submit_skipped", fmt.Sprintf("  submission round %d skipped: round interrupted", round),
+			"round", round, "reason", "round interrupted")
+		return
+	}
+	body, _, err := f.Render()
+	if err != nil {
+		s.log.event("submit_error", "  submission render: "+err.Error(),
+			"round", round, "error", err.Error())
+		return
+	}
+	sub := &dirauth.Submission{
+		BWAuth:  s.name,
+		Round:   round,
+		Version: dirauth.SubmissionVersionMax,
+		Body:    body,
+	}
+	sub.Sign(s.id.Priv)
+	callCtx, cancel := context.WithTimeout(ctx, submitTimeout)
+	defer cancel()
+	resp, err := s.client.Call(callCtx, rpc.MethodSubmitV3BW, sub.Encode())
+	var se *rpc.ServerError
+	switch {
+	case err == nil:
+		s.log.event("submit", fmt.Sprintf("  submitted round %d: %s", round, resp),
+			"round", round, "response", string(resp))
+	case errors.As(err, &se):
+		s.log.event("submit_rejected", fmt.Sprintf("  submission round %d rejected: %s", round, se.Msg),
+			"round", round, "reason", se.Msg)
+	default:
+		s.log.event("submit_error", fmt.Sprintf("  submission round %d failed: %v", round, err),
+			"round", round, "error", err.Error())
+	}
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // This file defines the signed, versioned v3bw submission a BWAuth
-// process (cmd/bwauthd) sends to a directory-authority merge node. The
-// signature is end-to-end: it is made by the BWAuth's identity key over
-// the submission's content, independent of the RPC transport that
-// carries it, so the merge node's acceptance decision never rests on
-// which authenticated connection delivered the bytes — any courier may
-// relay a submission, and no courier can forge one.
+// column (coordd -dirauth-addr) sends to a directory-authority merge
+// node. The signature is end-to-end: it is made by the BWAuth's identity
+// key over the submission's content, independent of the RPC transport
+// that carries it, so the merge node's acceptance decision never rests
+// on which authenticated connection delivered the bytes — any courier
+// may relay a submission, and no courier can forge one.
 
 // Submission format version bounds this build understands. The version
 // is bound into the signature, so a peer cannot re-label a submission

@@ -1,6 +1,6 @@
 // Package integration holds cross-package end-to-end tests. This file
 // proves the distributed control plane's core equivalence claim: three
-// bwauthd-style processes (each one coordinator column submitting signed
+// BWAuth column processes (each one coordinator column submitting signed
 // views over the authenticated RPC) produce, through the dirauth merge
 // service, a bandwidth file byte-identical to what a single-process
 // coordinator running the same three BWAuths over the same population

@@ -1,8 +1,8 @@
 // Package rpc is the control plane's inter-process seam: a small
 // length-prefixed, versioned, authenticated request/response protocol over
 // TCP (or any io.ReadWriteCloser — the tests run it over net.Pipe),
-// carrying signed bandwidth-file submissions from cmd/bwauthd processes to
-// the directory-authority merge node (coordd -dirauth).
+// carrying signed bandwidth-file submissions from BWAuth columns (coordd
+// -dirauth-addr) to the directory-authority merge node (coordd -dirauth).
 //
 // The paper's deployment model (§4.3) is multiple independent BWAuths
 // whose per-view measurements a directory authority merges; this package
