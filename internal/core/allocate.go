@@ -58,13 +58,16 @@ func AllocateGreedy(team []*Measurer, needBps float64, p Params) (Allocation, er
 	return AllocateGreedyFrom(team, needBps, 0, p)
 }
 
-// AllocateGreedyFrom is AllocateGreedy with the equal-residual tie-break
-// rotated to start at the given index. Under concurrent measurements the
-// plain index tie-break races — whichever slot allocates first grabs the
-// first measurer, so a relay's measurer assignment flips from round to
-// round. The continuous coordinator derives the rotation from the relay
-// name (see MeasureRelayGuarded), pinning each relay to the same
-// measurers across rounds so their pooled connections stay warm.
+// AllocateGreedyFrom is AllocateGreedy anchored on a preferred measurer.
+// When team[prefer]'s residual alone covers needBps, it takes the whole
+// allocation — one measurer, as greedy would pick. Otherwise greedy runs
+// as usual, with equal residuals broken by index rotated to start at
+// prefer. Under concurrent measurements residuals depend on which other
+// slots happen to hold capacity, so a preference that only broke ties
+// would flip a relay's measurer from round to round. The continuous
+// coordinator derives prefer from the relay name (see
+// MeasureRelayGuarded), pinning each relay to the same measurer across
+// rounds so its pooled connections stay warm.
 func AllocateGreedyFrom(team []*Measurer, needBps float64, prefer int, p Params) (Allocation, error) {
 	if needBps <= 0 {
 		return Allocation{}, fmt.Errorf("core: nonpositive capacity request %v", needBps)
@@ -86,15 +89,19 @@ func AllocateGreedyFrom(team []*Measurer, needBps float64, prefer int, p Params)
 	if prefer < 0 {
 		prefer += len(team)
 	}
-	// Order of consideration: most residual capacity first; ties broken
-	// by index rotated to the preferred start, for determinism.
-	order := make([]int, len(team))
-	for i := range order {
-		order[i] = (prefer + i) % len(team)
+	// Order of consideration: the preferred measurer alone when it covers
+	// the need; otherwise most residual capacity first, ties broken by
+	// index rotated to the preferred start, for determinism.
+	order := []int{prefer}
+	if team[prefer].ResidualBps() < needBps {
+		order = make([]int, len(team))
+		for i := range order {
+			order[i] = (prefer + i) % len(team)
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return team[order[a]].ResidualBps() > team[order[b]].ResidualBps()
+		})
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return team[order[a]].ResidualBps() > team[order[b]].ResidualBps()
-	})
 	remaining := needBps
 	for _, idx := range order {
 		if remaining <= 0 {

@@ -85,6 +85,43 @@ func TestAllocateGreedyNonpositive(t *testing.T) {
 	}
 }
 
+// TestAllocateGreedyFromKeepsPreferredUnderSkew pins the preferred
+// measurer through skewed residuals: while it alone covers the need it
+// takes the allocation even though another measurer has more residual
+// (other slots committed part of it), so a relay keeps its measurer — and
+// its pooled connections — across rounds. When it cannot cover the need,
+// plain greedy decides.
+func TestAllocateGreedyFromKeepsPreferredUnderSkew(t *testing.T) {
+	p := DefaultParams()
+	for _, tc := range []struct {
+		name      string
+		committed []float64
+		need      float64
+		prefer    int
+		want      []float64
+	}{
+		{"covers", []float64{0.3e9, 0, 0.1e9}, 0.5e9, 0, []float64{0.5e9, 0, 0}},
+		{"covers-exactly", []float64{0.3e9, 0, 0}, 0.7e9, 0, []float64{0.7e9, 0, 0}},
+		{"covers-rotated", []float64{0, 0, 0.6e9}, 0.2e9, 2, []float64{0, 0, 0.2e9}},
+		{"short-greedy-one", []float64{0.6e9, 0.1e9, 0}, 0.5e9, 0, []float64{0, 0, 0.5e9}},
+		{"short-greedy-spill", []float64{0.6e9, 0.1e9, 0}, 1.5e9, 0, []float64{0, 0.5e9, 1e9}},
+	} {
+		team := team3x1G()
+		for i, c := range tc.committed {
+			team[i].CommittedBps = c
+		}
+		alloc, err := AllocateGreedyFrom(team, tc.need, tc.prefer, p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range tc.want {
+			if math.Abs(alloc.PerMeasurerBps[i]-tc.want[i]) > 1 {
+				t.Fatalf("%s: per-measurer got %v want %v", tc.name, alloc.PerMeasurerBps, tc.want)
+			}
+		}
+	}
+}
+
 func TestSocketSplitEvenShare(t *testing.T) {
 	team := team3x1G()
 	p := DefaultParams()

@@ -88,11 +88,14 @@ func (a AnomalyCounts) AppendBinary(buf []byte) []byte {
 // p, returning the counts and the remaining bytes. Fields beyond the six
 // this version knows are skipped (a newer writer appended counters);
 // fields the encoding lacks stay zero (an older writer knew fewer).
+//
+// Varints must be minimal, as AppendBinary writes them: a padded encoding
+// is corruption, and rejecting it keeps one encoding per value.
 func DecodeAnomalyCounts(p []byte) (AnomalyCounts, []byte, error) {
 	var a AnomalyCounts
 	fields, n := binary.Uvarint(p)
-	if n <= 0 {
-		return a, p, fmt.Errorf("core: anomaly counts: truncated field count")
+	if n <= 0 || (n > 1 && p[n-1] == 0) {
+		return a, p, fmt.Errorf("core: anomaly counts: bad field count")
 	}
 	p = p[n:]
 	dst := [anomalyFields]*int64{
@@ -101,8 +104,8 @@ func DecodeAnomalyCounts(p []byte) (AnomalyCounts, []byte, error) {
 	}
 	for i := uint64(0); i < fields; i++ {
 		v, n := binary.Varint(p)
-		if n <= 0 {
-			return a, p, fmt.Errorf("core: anomaly counts: truncated field %d of %d", i, fields)
+		if n <= 0 || (n > 1 && p[n-1] == 0) {
+			return a, p, fmt.Errorf("core: anomaly counts: bad field %d of %d", i, fields)
 		}
 		p = p[n:]
 		if i < anomalyFields {

@@ -23,11 +23,11 @@ func appendString(buf []byte, s string) []byte {
 }
 
 func decodeString(p []byte) (string, []byte, error) {
-	n, w := binary.Uvarint(p)
-	if w <= 0 || uint64(len(p)-w) < n {
+	n, rest, err := decodeUvarint(p)
+	if err != nil || uint64(len(rest)) < n {
 		return "", p, fmt.Errorf("store: truncated string")
 	}
-	return string(p[w : w+int(n)]), p[w+int(n):], nil
+	return string(rest[:n]), rest[n:], nil
 }
 
 func appendFloat(buf []byte, f float64) []byte {
@@ -41,12 +41,47 @@ func decodeFloat(p []byte) (float64, []byte, error) {
 	return math.Float64frombits(binary.LittleEndian.Uint64(p)), p[8:], nil
 }
 
+// decodeUvarint reads one varint in its minimal encoding. A padded
+// encoding (a trailing 0x00 continuation group) never comes from
+// binary.AppendUvarint, so it is corruption; rejecting it keeps the codec
+// one-to-one, and every accepted payload re-encodes to itself.
 func decodeUvarint(p []byte) (uint64, []byte, error) {
 	v, w := binary.Uvarint(p)
 	if w <= 0 {
 		return 0, p, fmt.Errorf("store: truncated varint")
 	}
+	if w > 1 && p[w-1] == 0 {
+		return 0, p, fmt.Errorf("store: non-minimal varint")
+	}
 	return v, p[w:], nil
+}
+
+// decodeVersion reads a submission-format version, which must fit the
+// uint16 it is stored as.
+func decodeVersion(p []byte) (uint16, []byte, error) {
+	v, rest, err := decodeUvarint(p)
+	if err != nil {
+		return 0, p, err
+	}
+	if v > math.MaxUint16 {
+		return 0, p, fmt.Errorf("store: submission version %d out of range", v)
+	}
+	return uint16(v), rest, nil
+}
+
+// decodeKey reads a snapshot map key, which must sort strictly after the
+// previous one: appendState writes keys sorted and unique, so a duplicate
+// or out-of-order key is corruption that a map would otherwise silently
+// collapse.
+func decodeKey(p []byte, i uint64, prev string) (string, []byte, error) {
+	name, rest, err := decodeString(p)
+	if err != nil {
+		return "", p, err
+	}
+	if i > 0 && name <= prev {
+		return "", p, fmt.Errorf("store: snapshot key %q out of order", name)
+	}
+	return name, rest, nil
 }
 
 // appendRecord appends one WAL record's payload (the CRC frame is the
@@ -97,11 +132,10 @@ func decodeRecord(p []byte) (Record, error) {
 		return rec, err
 	}
 	if rec.Kind == KindSubmission {
-		var v, unix, blen uint64
-		if v, p, err = decodeUvarint(p); err != nil {
+		var unix, blen uint64
+		if rec.Version, p, err = decodeVersion(p); err != nil {
 			return rec, err
 		}
-		rec.Version = uint16(v)
 		if unix, p, err = decodeUvarint(p); err != nil {
 			return rec, err
 		}
@@ -205,10 +239,10 @@ func decodeState(p []byte) (*State, error) {
 	// entry costs ≥9 bytes), so a corrupt count cannot drive a huge
 	// allocation before the decode loop fails on truncation.
 	st.Priors = make(map[string]float64, sizeHint(n, len(p)))
+	var name string
 	for i := uint64(0); i < n; i++ {
-		var name string
 		var bps float64
-		if name, p, err = decodeString(p); err != nil {
+		if name, p, err = decodeKey(p, i, name); err != nil {
 			return nil, err
 		}
 		if bps, p, err = decodeFloat(p); err != nil {
@@ -222,10 +256,9 @@ func decodeState(p []byte) (*State, error) {
 	}
 	st.Anomalies = make(map[string]AnomalyRecord, sizeHint(n, len(p)))
 	for i := uint64(0); i < n; i++ {
-		var name string
 		var last uint64
 		var rec AnomalyRecord
-		if name, p, err = decodeString(p); err != nil {
+		if name, p, err = decodeKey(p, i, name); err != nil {
 			return nil, err
 		}
 		if last, p, err = decodeUvarint(p); err != nil {
@@ -263,16 +296,15 @@ func decodeState(p []byte) (*State, error) {
 	}
 	st.Submissions = make(map[string]SubmissionRecord, sizeHint(n, len(p)))
 	for i := uint64(0); i < n; i++ {
-		var name string
-		var round, version, unix, blen uint64
+		var round, unix, blen uint64
 		var sub SubmissionRecord
-		if name, p, err = decodeString(p); err != nil {
+		if name, p, err = decodeKey(p, i, name); err != nil {
 			return nil, err
 		}
 		if round, p, err = decodeUvarint(p); err != nil {
 			return nil, err
 		}
-		if version, p, err = decodeUvarint(p); err != nil {
+		if sub.Version, p, err = decodeVersion(p); err != nil {
 			return nil, err
 		}
 		if unix, p, err = decodeUvarint(p); err != nil {
@@ -284,7 +316,7 @@ func decodeState(p []byte) (*State, error) {
 		if uint64(len(p)) < blen {
 			return nil, fmt.Errorf("store: truncated submission body")
 		}
-		sub.Round, sub.Version, sub.Unix = int(round), uint16(version), int64(unix)
+		sub.Round, sub.Unix = int(round), int64(unix)
 		sub.Body = append([]byte(nil), p[:blen]...)
 		p = p[blen:]
 		st.Submissions[name] = sub

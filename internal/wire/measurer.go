@@ -104,17 +104,48 @@ type MeasureResult struct {
 // clamped rather than rejected.
 const maxCircuits = cell.SuperCells
 
-// inflightWindow is the per-circuit contribution to the connection's
-// in-flight cell window, as the paper's clients take "care not to overflow
-// circuit queue length limits" (§3.4). Without a window, a fast sender
-// buries a slower target in kernel buffers and the slot cannot drain
-// cleanly. A small multiple of the batch size keeps batching from starving
+// The connection's in-flight window bounds the un-echoed cells a slot keeps
+// on the wire, as the paper's clients take "care not to overflow circuit
+// queue length limits" (§3.4). Without a window, a fast sender buries a
+// slower target in kernel buffers and the slot cannot drain cleanly; with
+// one, the slot ends by draining whatever the window still holds, which
+// takes window/capacity at the target. flowWindowCells sizes it per slot,
+// within these bounds.
+
+// inflightWindow is the per-circuit contribution to the window's upper
+// bound; a small multiple of the batch size keeps batching from starving
 // the pipeline.
 const inflightWindow = 8 * cell.BatchCells
 
 // maxWindowCells caps the aggregate window across all circuits (~1 MiB in
 // flight): beyond that, deeper pipelining only adds drain time.
 const maxWindowCells = 2048
+
+// minWindowCells is the window's floor: two batches, so a shard can fill
+// one while the other is on the wire.
+const minWindowCells = 2 * cell.BatchCells
+
+// flowWindowCells sizes a connection's in-flight window to the
+// allocation's bandwidth-delay product: rateBps·(rtt + 2·pacerMaxSleep) in
+// cells, where rtt is the circuit-create round trip and each end's pacer
+// may hold a cell for one quantum. The allocation already exceeds the
+// target's capacity by the §4.2 multiplier, so this keeps the pipe full,
+// while the drain after the slot's last second stays near that BDP time
+// instead of growing as window/capacity. The result is clamped to
+// [minWindowCells, min(inflightWindow·nCirc, maxWindowCells)], so no
+// target ever has more cells in flight than the fixed per-circuit window
+// allowed; an unpaced slot (rateBps 0) gets the upper bound.
+func flowWindowCells(rateBps float64, rtt time.Duration, nCirc int) int64 {
+	limit := min(int64(inflightWindow)*int64(nCirc), maxWindowCells)
+	if rateBps <= 0 {
+		return limit
+	}
+	bdp := math.Ceil(rateBps * (rtt + 2*pacerMaxSleep).Seconds() / (8 * cell.Size))
+	if !(bdp < float64(limit)) { // also catches +Inf and NaN
+		return limit
+	}
+	return max(int64(bdp), minWindowCells)
+}
 
 // Measure runs one measurer's side of a measurement slot: it opens one
 // connection, authenticates, multiplexes opts.Sockets measurement circuits
@@ -400,7 +431,11 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	defer cell.PutSuper(readBuf)
 	cr := newCellReader(tr, *readBuf)
 
+	// The create exchange is the slot's round-trip sample: every slot runs
+	// it, pooled connection or not, and it sizes the flow window below.
+	createStart := time.Now()
 	circs, err := createCircuits(tr, cr, nCirc)
+	rtt := time.Since(createStart)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return res, ctxErr
@@ -412,6 +447,7 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 	// data path's transport and echo reader. Control traffic keeps using tr
 	// and cr throughout.
 	udp := opts.DialData != nil
+	window := newFlowWindow(flowWindowCells(opts.RateBps, rtt, nCirc))
 	dataTr := tr
 	var udpTr *udpTransport
 	if udp {
@@ -436,17 +472,12 @@ func measureConn(ctx context.Context, dial Dialer, opts MeasureOptions, nCirc in
 		if dl, ok := ctx.Deadline(); ok {
 			_ = dc.SetDeadline(dl)
 		}
-		udpTr = newUDPTransport(dc)
+		udpTr = newUDPTransport(dc, window.capacity)
 		defer udpTr.release()
 		dataTr = udpTr
 	}
 
 	deadline := start.Add(opts.Duration)
-	windowCap := int64(inflightWindow) * int64(nCirc)
-	if windowCap > maxWindowCells {
-		windowCap = maxWindowCells
-	}
-	window := newFlowWindow(windowCap)
 
 	// Reader: demultiplex the echo stream by circuit ID, verifying sampled
 	// cells against each circuit's forward keystream. It owns

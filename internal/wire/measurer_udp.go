@@ -88,9 +88,9 @@ func setupUDP(tr Transport, cr *cellReader, dialData Dialer) (net.Conn, error) {
 }
 
 // udpTransport adapts the data socket to the writer's Transport seam by
-// coalescing batch writes into maximum-size datagrams: the shards keep
-// producing 32-cell batches, and every udpDatagramCells cells staged
-// becomes one sendto. The slot's ragged tail stays staged until Flush.
+// coalescing batch writes into datagrams: the shards keep producing
+// 32-cell batches, and every full stage becomes one sendto. The slot's
+// ragged tail stays staged until Flush.
 type udpTransport struct {
 	data  net.Conn
 	arena *[]byte
@@ -98,9 +98,15 @@ type udpTransport struct {
 	fill  int
 }
 
-func newUDPTransport(data net.Conn) *udpTransport {
+// newUDPTransport stages up to udpDatagramCells cells per datagram, but
+// never more than half the flow window: a staged cell holds a window slot
+// until its datagram ships and echoes, so a stage larger than the window
+// would wait forever for cells the window cannot admit, and half keeps
+// one datagram filling while another is in flight.
+func newUDPTransport(data net.Conn, windowCells int64) *udpTransport {
 	arena := cell.GetSuper()
-	return &udpTransport{data: data, arena: arena, stage: (*arena)[:udpDatagramBytes]}
+	cells := int(min(udpDatagramCells, windowCells/2))
+	return &udpTransport{data: data, arena: arena, stage: (*arena)[:cells*cell.Size]}
 }
 
 // release returns the staging arena to the pool. Call exactly once, after
