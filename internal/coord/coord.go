@@ -790,8 +790,8 @@ func (c *Coordinator) roundSeed(round int) ([]byte, error) {
 }
 
 // maxCapacityDeferrals bounds how often a slot may be deferred because
-// in-flight measurements hold the team's residual capacity, guaranteeing
-// termination even under sustained contention.
+// capacity it needs is held elsewhere, guaranteeing termination even under
+// sustained contention.
 const maxCapacityDeferrals = 8
 
 // recordAnomalies folds one relay's new §5 evidence into the windowed
@@ -1184,10 +1184,11 @@ func (c *Coordinator) runJob(ctx context.Context, j *slotJob, queue chan<- *slot
 			return
 		}
 		if errors.Is(err, core.ErrInsufficientCapacity) && j.capDeferrals < maxCapacityDeferrals {
-			// The allocation collided with in-flight measurements holding
-			// the team's residual capacity — a scheduling artifact of
-			// overlapping slots, not a relay failure. Defer with backoff
-			// instead of burning one of the relay's attempts.
+			// The team gate already waits out collisions between this
+			// BWAuth's own slots; a shortfall that still surfaces (a
+			// backend whose capacity is held outside the gate) is a
+			// scheduling artifact too, not a relay failure. Defer with
+			// backoff instead of burning one of the relay's attempts.
 			j.attempt--
 			j.capDeferrals++
 			c.requeue(ctx, j, queue, pending, col, "insufficient residual team capacity")

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Measurer describes one measurement host in a team: its name, its
@@ -236,6 +238,65 @@ func Release(team []*Measurer, a Allocation) {
 			}
 		}
 	}
+}
+
+// TeamGate serializes capacity allocation against one shared team, so
+// concurrent measurements (internal/coord runs a schedule slot's
+// assignments on a worker pool) can draw on it safely. An allocation that
+// collides with in-flight measurements holding the residual waits for one
+// of them to release rather than failing: the collision is an artifact of
+// which slots happen to overlap, and every in-flight slot ends within its
+// own slot time. The zero value is ready to use.
+type TeamGate struct {
+	mu sync.Mutex
+	// inFlight counts allocations committed through the gate and not yet
+	// released; with none, a shortfall is permanent and fails at once.
+	inFlight int
+	// released is closed, and cleared, by every release.
+	released chan struct{}
+}
+
+// allocate commits AllocateGreedyFrom(team, needBps, prefer, p), waiting
+// out ErrInsufficientCapacity while other allocations are in flight.
+// Cancelling ctx ends the wait with ctx's error.
+func (g *TeamGate) allocate(ctx context.Context, team []*Measurer, needBps float64, prefer int, p Params) (Allocation, error) {
+	g.mu.Lock()
+	for {
+		alloc, err := AllocateGreedyFrom(team, needBps, prefer, p)
+		if err == nil {
+			Commit(team, alloc)
+			g.inFlight++
+			g.mu.Unlock()
+			return alloc, nil
+		}
+		if !errors.Is(err, ErrInsufficientCapacity) || g.inFlight == 0 {
+			g.mu.Unlock()
+			return Allocation{}, err
+		}
+		if g.released == nil {
+			g.released = make(chan struct{})
+		}
+		released := g.released
+		g.mu.Unlock()
+		select {
+		case <-released:
+		case <-ctx.Done():
+			return Allocation{}, ctx.Err()
+		}
+		g.mu.Lock()
+	}
+}
+
+// release returns an allocation made by allocate and wakes its waiters.
+func (g *TeamGate) release(team []*Measurer, a Allocation) {
+	g.mu.Lock()
+	Release(team, a)
+	g.inFlight--
+	if g.released != nil {
+		close(g.released)
+		g.released = nil
+	}
+	g.mu.Unlock()
 }
 
 // TeamCapacityBps returns the team's total capacity Σ c_i.

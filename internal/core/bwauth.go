@@ -28,7 +28,7 @@ type BWAuth struct {
 	// mu guards estimates, priors, and history.
 	mu sync.Mutex
 	// teamGate serializes allocation commit/release against Team.
-	teamGate sync.Mutex
+	teamGate TeamGate
 	// estimates holds the latest measured capacity estimate per relay —
 	// the values published in the bandwidth file.
 	estimates map[string]float64

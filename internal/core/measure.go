@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 
 	"flashflow/internal/stats"
@@ -96,12 +95,6 @@ func (o MeasureOutcome) SlotSecondsUsed() int {
 // ErrNoEstimate indicates MeasureRelay could not produce any estimate.
 var ErrNoEstimate = errors.New("core: no estimate produced")
 
-// noopLocker is the gate used by the sequential MeasureRelay path.
-type noopLocker struct{}
-
-func (noopLocker) Lock()   {}
-func (noopLocker) Unlock() {}
-
 // MeasureRelay runs the §4.2 measurement process for one relay: allocate
 // f·z0 capacity, measure, accept if the estimate is small enough relative
 // to the allocation; otherwise set z0 = max(z, 2·z0) and repeat with more
@@ -110,7 +103,7 @@ func (noopLocker) Unlock() {}
 // in-flight slot promptly; the returned outcome carries any attempts (and
 // partial attempt) completed before cancellation alongside ctx's error.
 func MeasureRelay(ctx context.Context, backend Backend, team []*Measurer, relayName string, z0Bps float64, p Params) (MeasureOutcome, error) {
-	return MeasureRelayGuarded(ctx, backend, team, noopLocker{}, relayName, z0Bps, p)
+	return MeasureRelayGuarded(ctx, backend, team, &TeamGate{}, relayName, z0Bps, p)
 }
 
 // abortWatcher implements the §4.2 early-abort rule over a sample stream.
@@ -141,14 +134,14 @@ func (w *abortWatcher) sink(s Sample) {
 	}
 }
 
-// MeasureRelayGuarded is MeasureRelay with every read or write of the
-// team's committed capacity serialized through gate, so concurrent
-// measurements (internal/coord runs a schedule slot's assignments on a
-// worker pool) can safely share one team. The backend call itself runs
-// outside the lock. Under concurrency AllocateGreedy can fail with
-// ErrInsufficientCapacity when in-flight measurements hold the residual
-// capacity; callers treat that as a retryable condition.
-func MeasureRelayGuarded(ctx context.Context, backend Backend, team []*Measurer, gate sync.Locker, relayName string, z0Bps float64, p Params) (MeasureOutcome, error) {
+// MeasureRelayGuarded is MeasureRelay with every allocation from the team
+// made through gate, so concurrent measurements sharing one team and gate
+// can run side by side. The backend call itself runs outside the gate. An
+// attempt whose allocation collides with in-flight measurements waits for
+// them to release capacity, keeping the doubling loop's progress;
+// ErrInsufficientCapacity is returned only when nothing through the gate
+// is in flight to release any.
+func MeasureRelayGuarded(ctx context.Context, backend Backend, team []*Measurer, gate *TeamGate, relayName string, z0Bps float64, p Params) (MeasureOutcome, error) {
 	if err := p.Validate(); err != nil {
 		return MeasureOutcome{}, err
 	}
@@ -170,14 +163,10 @@ func MeasureRelayGuarded(ctx context.Context, backend Backend, team []*Measurer,
 			need = teamCap
 			atCeiling = true
 		}
-		gate.Lock()
-		alloc, err := AllocateGreedyFrom(team, need, relayPreferredMeasurer(relayName, len(team)), p)
+		alloc, err := gate.allocate(ctx, team, need, relayPreferredMeasurer(relayName, len(team)), p)
 		if err != nil {
-			gate.Unlock()
-			return out, err
+			return out, fmt.Errorf("measure %s: %w", relayName, err)
 		}
-		Commit(team, alloc)
-		gate.Unlock()
 
 		// Early abort only pays off when a further doubling step exists to
 		// jump to: at the team's ceiling or on the final attempt the slot
@@ -197,9 +186,7 @@ func MeasureRelayGuarded(ctx context.Context, backend Backend, team []*Measurer,
 		}
 		data, err := backend.RunMeasurement(attemptCtx, relayName, alloc, p.SlotSeconds, sink)
 		cancelAttempt()
-		gate.Lock()
-		Release(team, alloc)
-		gate.Unlock()
+		gate.release(team, alloc)
 
 		aborted := watcher != nil && watcher.aborted.Load() && ctx.Err() == nil
 		if err != nil && !(aborted && errors.Is(err, context.Canceled)) {
